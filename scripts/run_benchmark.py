@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Generate a seeded instance batch and benchmark the solvers over it.
 
-Writes the instances, per-algorithm solution files and a CSV in the style of
-the usual result tables (ET = execution time in seconds, M = makespan, dash =
-Unsolved).  Everything is deterministic for a fixed --seed.
+Writes the instances and a CSV in the style of the usual result tables
+(ET = execution time in seconds, M = makespan, dash = Unsolved).  Everything
+but ET is deterministic for a fixed --seed.
 
 Example:
     python scripts/run_benchmark.py --out-dir runs/smoke --count 10 --set A

@@ -1,21 +1,21 @@
 """Multi-depot adaptations of classic CARP construction heuristics.
 
-All three reuse the multi-trip route semantics (trips chain depot to depot,
-full recharge between trips) so results are comparable with the multi-trip
-solver.  Failure to cover every required edge is an Unsolved value, never an
-exception.
+All three reuse the multi-trip route semantics (`multitrip.FleetState`: trips
+chain depot to depot, full recharge between trips) so results are comparable
+with the multi-trip solver.  Failure to cover every required edge is an
+Unsolved value, never an exception.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .graph import WeightedGraph, all_to_set, one_to_all, path_from_parents, path_to_set
-from .instance import Instance, RequiredEdge
-from .solution import Route, Solution, Trip, covered_by_walk, route_time
+from .graph import Arc, DistanceTables, WeightedGraph, path_from_parents, shortest_path
+from .instance import Instance
+from .multitrip import FleetState, initial_fleet_state
+from .solution import EPS, Solution, Trip, covered_by_walk
 
-EPS = 1e-9
 CRITERIA = 5
 
 
@@ -30,32 +30,6 @@ class BaselineResult:
         return self.outcome is not None
 
 
-class _Net:
-    """Shortest-path tables over one (possibly residual) graph."""
-
-    def __init__(self, graph: WeightedGraph, depots):
-        self.graph = graph
-        self.depots = sorted(set(depots))
-        self.to_depot_cost, self.to_depot_succ, _ = all_to_set(graph, self.depots)
-        self._from: dict[int, tuple[list[float], list[int]]] = {}
-
-    def from_node(self, src: int) -> tuple[list[float], list[int]]:
-        if src not in self._from:
-            self._from[src] = one_to_all(self.graph, src)
-        return self._from[src]
-
-    def return_walk(self, node: int) -> tuple[int, ...]:
-        return path_to_set(self.to_depot_succ, node)
-
-
-@dataclass
-class _Veh:
-    location: int
-    available: float = 0.0
-    trips: list[Trip] = field(default_factory=list)
-    stuck: bool = False
-
-
 def _splice(nodes: tuple[int, ...], artificial: dict[tuple[int, int], tuple[int, ...]]
             ) -> tuple[int, ...]:
     if not artificial:
@@ -68,12 +42,6 @@ def _splice(nodes: tuple[int, ...], artificial: dict[tuple[int, int], tuple[int,
         else:
             out.append(b)
     return tuple(out)
-
-
-def _orientations(e: RequiredEdge):
-    if e.directed:
-        return [(e.frm, e.to)]
-    return [(e.frm, e.to), (e.to, e.frm)]
 
 
 def _criterion_key(criterion: int, deadhead: float, serve: float, ret: float,
@@ -91,22 +59,22 @@ def _criterion_key(criterion: int, deadhead: float, serve: float, ret: float,
     return (-serve, idx, orient)
 
 
-def _build_trip(net: _Net, inst: Instance, start: int, uncovered, criterion: int,
-                artificial) -> Trip | None:
+def _build_trip(tables: DistanceTables, inst: Instance, start: int, uncovered,
+                criterion: int, artificial) -> Trip | None:
     """One capacity-feasible trip from `start` greedily chaining required edges."""
     cur = start
     used = 0.0
     walk: tuple[int, ...] = (start,)
     while True:
-        costs, parents = net.from_node(cur)
+        costs, parents = tables.row(cur)
         best = None
         for idx, e in enumerate(uncovered):
-            for orient, (tail, head) in enumerate(_orientations(e)):
-                w = net.graph.min_weight(tail, head)
+            for orient, (tail, head) in enumerate(e.orientations()):
+                w = tables.graph.min_weight(tail, head)
                 if w is None:
                     continue
                 deadhead = costs[tail]
-                ret = net.to_depot_cost[head]
+                ret = tables.to_depot_cost[head]
                 total = used + deadhead + w + ret
                 if total > inst.capacity + EPS:
                     continue
@@ -124,64 +92,44 @@ def _build_trip(net: _Net, inst: Instance, start: int, uncovered, criterion: int
         uncovered = [e for e in uncovered if e not in touched]
     if cur == start and len(walk) == 1:
         return None
-    walk = walk + net.return_walk(cur)[1:]
-    duration = used + net.to_depot_cost[cur]
+    walk = walk + tables.return_walk(cur)[1:]
+    duration = used + tables.to_depot_cost[cur]
     real = _splice(walk, artificial)
     return Trip(nodes=real, duration=duration,
                 covered=tuple(sorted(covered_by_walk(inst, real))))
 
 
-def _scan_full(net: _Net, inst: Instance, fleet: list[_Veh], uncovered: list[RequiredEdge],
-               criterion: int, artificial) -> None:
+def _scan_full(tables: DistanceTables, inst: Instance, state: FleetState, criterion: int,
+               artificial) -> None:
     """Run path scanning until no vehicle can add a covering trip.
 
-    Mutates fleet and uncovered in place.
+    Mutates state; a vehicle that cannot add one is marked infeasible.
     """
-    budget = 10 * max(1, len(inst.required)) + len(fleet)
+    budget = 10 * max(1, len(inst.required)) + len(state.vehicles)
     steps = 0
-    while uncovered and steps < budget:
+    while state.uncovered and steps < budget:
         steps += 1
-        k = None
-        for i, v in enumerate(fleet):
-            if v.stuck:
-                continue
-            if k is None or v.available < fleet[k].available:
-                k = i
+        k = state.next_vehicle()
         if k is None:
             break
-        veh = fleet[k]
-        trip = _build_trip(net, inst, veh.location, uncovered, criterion, artificial)
-        if trip is None or not any(e in trip.covered for e in uncovered):
-            veh.stuck = True
+        veh = state.vehicles[k]
+        trip = _build_trip(tables, inst, veh.location, state.uncovered, criterion, artificial)
+        if trip is None or not any(e in trip.covered for e in state.uncovered):
+            veh.infeasible = True
             continue
-        if veh.trips:
-            veh.available += inst.recharge_time
-        veh.available += trip.duration
-        veh.location = trip.nodes[-1]
-        veh.trips.append(trip)
-        covered = set(trip.covered)
-        uncovered[:] = [e for e in uncovered if e not in covered]
-
-
-def _fleet_solution(inst: Instance, fleet: list[_Veh], uncovered) -> Solution:
-    routes = tuple(Route(k, tuple(v.trips)) for k, v in enumerate(fleet))
-    makespan = max(
-        (route_time((t.duration for t in r.trips), inst.recharge_time) for r in routes),
-        default=0.0)
-    return Solution(routes, makespan, tuple(uncovered))
+        state.commit(k, trip, inst.recharge_time)
 
 
 def path_scanning(inst: Instance) -> BaselineResult:
     """Run all five scanning criteria; keep the lowest-makespan complete result."""
-    net = _Net(inst.graph, inst.start_depots)
+    tables = DistanceTables(inst.graph, inst.start_depots)
     best: tuple[float, int, Solution] | None = None
     for criterion in range(CRITERIA):
-        fleet = [_Veh(location=inst.start_depot(k)) for k in range(inst.vehicles)]
-        uncovered = list(inst.required)
-        _scan_full(net, inst, fleet, uncovered, criterion, {})
-        if uncovered:
+        state = initial_fleet_state(inst)
+        _scan_full(tables, inst, state, criterion, {})
+        if state.uncovered:
             continue
-        sol = _fleet_solution(inst, fleet, ())
+        sol = state.solution(inst.recharge_time)
         if best is None or (sol.makespan, criterion) < (best[0], best[1]):
             best = (sol.makespan, criterion, sol)
     if best is None:
@@ -193,14 +141,7 @@ def augment_merge(inst: Instance) -> BaselineResult:
     """Augment: one depot round trip per required edge; merge: concatenate
     routes anchored at the same depot while a single trip stays feasible."""
     anchors = sorted(set(inst.start_depots))
-    dist_cache: dict[int, list[float]] = {}
-
-    def costs_from(src: int) -> list[float]:
-        if src not in dist_cache:
-            dist_cache[src] = one_to_all(inst.graph, src)[0]
-        return dist_cache[src]
-
-    dist = {d: costs_from(d) for d in anchors}
+    tables = DistanceTables(inst.graph, anchors)
 
     def chain_cost(depot: int, legs) -> float:
         total = 0.0
@@ -209,20 +150,20 @@ def augment_merge(inst: Instance) -> BaselineResult:
             w = inst.graph.min_weight(tail, head)
             if w is None:
                 return float("inf")
-            total += costs_from(pos)[tail] + w
+            total += tables.row(pos)[0][tail] + w
             pos = head
-        return total + costs_from(pos)[depot]
+        return total + tables.row(pos)[0][depot]
 
     routes: list[tuple[int, list[tuple[int, int]], float]] = []
     for e in inst.required:
         best = None
         for d in anchors:
-            for tail, head in _orientations(e):
+            for tail, head in e.orientations():
                 w = inst.graph.min_weight(tail, head)
                 if w is None:
                     continue
-                back = costs_from(head)[d]
-                cost = dist[d][tail] + w + back
+                back = tables.row(head)[0][d]
+                cost = tables.row(d)[0][tail] + w + back
                 if cost <= inst.capacity + EPS and (best is None or cost < best[0]):
                     best = (cost, d, (tail, head))
         if best is None:
@@ -252,30 +193,20 @@ def augment_merge(inst: Instance) -> BaselineResult:
             if merged:
                 break
 
-    fleet = [_Veh(location=inst.start_depot(k)) for k in range(inst.vehicles)]
+    state = initial_fleet_state(inst)
+    # every anchor is some vehicle's start depot
     by_depot: dict[int, list[int]] = {}
     for k in range(inst.vehicles):
         by_depot.setdefault(inst.start_depot(k), []).append(k)
     for depot, legs, cost in sorted(routes, key=lambda r: (-r[2], r[0], r[1])):
-        candidates = by_depot.get(depot)
-        if not candidates:
-            return BaselineResult(None, reason=f"no vehicle based at depot {depot}")
-        k = min(candidates, key=lambda i: (fleet[i].available, i))
-        veh = fleet[k]
         walk: tuple[int, ...] = (depot,)
         for tail, head in legs:
-            _, parents = one_to_all(inst.graph, walk[-1])
-            walk = walk + path_from_parents(parents, walk[-1], tail)[1:] + (head,)
-        _, parents = one_to_all(inst.graph, walk[-1])
-        walk = walk + path_from_parents(parents, walk[-1], depot)[1:]
+            walk = walk + path_from_parents(tables.row(walk[-1])[1], walk[-1], tail)[1:] + (head,)
+        walk = walk + path_from_parents(tables.row(walk[-1])[1], walk[-1], depot)[1:]
         trip = Trip(nodes=walk, duration=cost,
                     covered=tuple(sorted(covered_by_walk(inst, walk))))
-        if veh.trips:
-            veh.available += inst.recharge_time
-        veh.available += trip.duration
-        veh.trips.append(trip)
-    sol = _fleet_solution(inst, fleet, ())
-    return BaselineResult(sol)
+        state.commit(state.next_vehicle(by_depot[depot]), trip, inst.recharge_time)
+    return BaselineResult(state.solution(inst.recharge_time))
 
 
 def construct_strike(inst: Instance) -> BaselineResult:
@@ -289,59 +220,56 @@ def construct_strike(inst: Instance) -> BaselineResult:
     node_count = inst.graph.node_count
     residual_arcs = list(inst.graph.arcs)
     artificial: dict[tuple[int, int], tuple[int, ...]] = {}
-    fleet = [_Veh(location=inst.start_depot(k)) for k in range(inst.vehicles)]
-    uncovered = list(inst.required)
+    state = initial_fleet_state(inst)
     passes = 0
     max_passes = 10 * max(1, len(inst.required))
-    while uncovered:
+    while state.uncovered:
         passes += 1
         if passes > max_passes:
             return BaselineResult(None, reason="pass budget exhausted")
+        # all five criteria scan the same residual graph
         residual = WeightedGraph(node_count, residual_arcs, symmetric=False)
+        tables = DistanceTables(residual, inst.start_depots)
         best = None
         for criterion in range(CRITERIA):
-            net = _Net(residual, inst.start_depots)
-            fleet_copy = copy.deepcopy(fleet)
-            for v in fleet_copy:
-                v.stuck = False
-            uncovered_copy = list(uncovered)
-            _scan_full(net, inst, fleet_copy, uncovered_copy, criterion, artificial)
-            progress = len(uncovered) - len(uncovered_copy)
+            trial = copy.deepcopy(state)
+            for v in trial.vehicles:
+                v.infeasible = False
+            _scan_full(tables, inst, trial, criterion, artificial)
+            progress = len(state.uncovered) - len(trial.uncovered)
             if progress == 0:
                 continue
-            makespan = _fleet_solution(inst, fleet_copy, uncovered_copy).makespan
-            key = (-progress, makespan, criterion)
+            key = (-progress, trial.solution(inst.recharge_time).makespan, criterion)
             if best is None or key < best[0]:
-                best = (key, fleet_copy, uncovered_copy)
+                best = (key, trial)
         if best is None:
-            if not _add_artificial_edges(inst, residual_arcs, artificial, uncovered):
+            if not _add_artificial_edges(inst, tables, residual_arcs, artificial,
+                                         state.uncovered):
                 return BaselineResult(None, reason="no progress after striking")
             continue
-        _, fleet, new_uncovered = best
-        struck = _walk_arcs(fleet, len(uncovered) - len(new_uncovered))
+        state = best[1]
+        struck = _walk_arcs(state)
         residual_arcs = [a for a in residual_arcs
                          if (a.frm, a.to) not in struck and (a.to, a.frm) not in struck]
-        uncovered = new_uncovered
-    sol = _fleet_solution(inst, fleet, ())
-    return BaselineResult(sol)
+    return BaselineResult(state.solution(inst.recharge_time))
 
 
-def _walk_arcs(fleet: list[_Veh], _progress: int) -> set[tuple[int, int]]:
+def _walk_arcs(state: FleetState) -> set[tuple[int, int]]:
     pairs: set[tuple[int, int]] = set()
-    for v in fleet:
+    for v in state.vehicles:
         for trip in v.trips:
             pairs.update(zip(trip.nodes, trip.nodes[1:]))
     return pairs
 
 
-def _add_artificial_edges(inst: Instance, residual_arcs, artificial, uncovered) -> bool:
-    from .graph import Arc, shortest_path
-
+def _add_artificial_edges(inst: Instance, tables: DistanceTables, residual_arcs, artificial,
+                          uncovered) -> bool:
+    """Join each start depot cut off from every uncovered endpoint (over the
+    residual graph of `tables`) to the nearest endpoint by an artificial edge."""
     endpoints = sorted({n for e in uncovered for n in (e.frm, e.to)})
-    residual = WeightedGraph(inst.graph.node_count, residual_arcs, symmetric=False)
     added = False
     for d in sorted(set(inst.start_depots)):
-        costs, _ = one_to_all(residual, d)
+        costs = tables.row(d)[0]
         if any(costs[v] < float("inf") for v in endpoints):
             continue
         best = None

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 from .graph import shortest_path
 from .instance import Instance, RequiredEdge
-from .solution import Route, Solution, Trip, covered_by_walk, route_time
-
-EPS = 1e-9
+from .solution import EPS, Route, Solution, Trip, covered_by_walk, route_time, worst_route_time
 
 
 class OracleSizeError(ValueError):
@@ -37,16 +35,10 @@ def _edge_weight(inst: Instance, tail: int, head: int) -> float:
     return w
 
 
-def _orientations(e: RequiredEdge):
-    if e.directed:
-        return [(e.frm, e.to)]
-    return [(e.frm, e.to), (e.to, e.frm)]
-
-
 def _cheapest_single_trip(inst: Instance, dist, e: RequiredEdge) -> float:
     """Cheapest depot-to-depot trip covering e, ignoring vehicle positions."""
     best = float("inf")
-    for tail, head in _orientations(e):
+    for tail, head in e.orientations():
         w = _edge_weight(inst, tail, head)
         for d1 in inst.depots:
             for d2 in inst.depots:
@@ -76,7 +68,7 @@ def _trip_options(inst: Instance, dist, depot: int, uncovered: tuple[RequiredEdg
     for size in range(1, min(max_edges, len(uncovered)) + 1):
         for combo in itertools.permutations(indices, size):
             edges = [uncovered[i] for i in combo]
-            for orients in itertools.product(*[_orientations(e) for e in edges]):
+            for orients in itertools.product(*[e.orientations() for e in edges]):
                 run = 0.0
                 pos = depot
                 ok = True
@@ -204,10 +196,7 @@ def _materialize(inst: Instance, plans: list[list[_TripPlan]]) -> Solution:
                             covered=tuple(sorted(covered_by_walk(inst, nodes)))))
             pos = plan.end_depot
         routes.append(Route(k, tuple(out)))
-    makespan = max(
-        (route_time((t.duration for t in r.trips), inst.recharge_time) for r in routes),
-        default=0.0)
-    return Solution(tuple(routes), makespan, ())
+    return Solution(tuple(routes), worst_route_time(routes, inst.recharge_time), ())
 
 
 def enumerate_exhaustive(inst: Instance, f_cap: int = 3,
@@ -275,7 +264,7 @@ def enumerate_exhaustive(inst: Instance, f_cap: int = 3,
                 continue
             best_k = float("inf")
             for perm in itertools.permutations(mine):
-                for orients in itertools.product(*[_orientations(e) for e in perm]):
+                for orients in itertools.product(*[e.orientations() for e in perm]):
                     seq = tuple((tail, head, _edge_weight(inst, tail, head))
                                 for tail, head in orients)
                     for value in route_values(inst.start_depot(k), seq):

@@ -8,10 +8,9 @@ threads.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import Counter
 from dataclasses import dataclass
-
-EPS = 1e-9
 
 
 class GraphError(ValueError):
@@ -53,8 +52,9 @@ class WeightedGraph:
                 raise GraphError(f"arc ({a.frm},{a.to}) references unknown node")
             if a.frm == a.to:
                 raise GraphError(f"self-loop at node {a.frm} rejected")
-            if a.weight < 0:
-                raise GraphError(f"negative weight on arc ({a.frm},{a.to})")
+            if not 0 <= a.weight < math.inf:
+                raise GraphError(f"weight {a.weight} on arc ({a.frm},{a.to}) is negative "
+                                 "or not finite")
         if symmetric:
             fwd = Counter((a.frm, a.to, a.weight) for a in arcs)
             rev = Counter((a.to, a.frm, a.weight) for a in arcs)
@@ -246,3 +246,27 @@ def path_to_set(succ: list[int], src: int) -> tuple[int, ...]:
     while succ[nodes[-1]] != -1:
         nodes.append(succ[nodes[-1]])
     return tuple(nodes)
+
+
+class DistanceTables:
+    """Shortest-path tables over one graph, shared by the solvers.
+
+    Holds the `all_to_set` table toward `depots` and fills each `one_to_all`
+    row the first time its source is asked for.
+    """
+
+    def __init__(self, graph: WeightedGraph, depots):
+        self.graph = graph
+        self.to_depot_cost, self.to_depot_succ, _ = all_to_set(graph, depots)
+        self._rows: dict[int, tuple[list[float], list[int]]] = {}
+
+    def row(self, src: int) -> tuple[list[float], list[int]]:
+        """(costs, parents) of a Dijkstra run from src."""
+        row = self._rows.get(src)
+        if row is None:
+            row = self._rows[src] = one_to_all(self.graph, src)
+        return row
+
+    def return_walk(self, node: int) -> tuple[int, ...]:
+        """Cheapest walk from node to the nearest depot."""
+        return path_to_set(self.to_depot_succ, node)

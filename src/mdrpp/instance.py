@@ -31,6 +31,12 @@ class RequiredEdge:
     def endpoints(self) -> tuple[int, int]:
         return self.frm, self.to
 
+    def orientations(self) -> list[tuple[int, int]]:
+        """(tail, head) pairs that serve the edge; the index is a tie-break key."""
+        if self.directed:
+            return [(self.frm, self.to)]
+        return [(self.frm, self.to), (self.to, self.frm)]
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -54,10 +60,10 @@ class Instance:
             raise InstanceError("duplicate depot ids")
         if self.vehicles < 1:
             raise InstanceError("vehicle count must be positive")
-        if self.capacity <= 0:
-            raise InstanceError("capacity must be positive")
-        if self.recharge_time < 0:
-            raise InstanceError("recharge time must be nonnegative")
+        if not 0 < self.capacity < math.inf:
+            raise InstanceError("capacity must be positive and finite")
+        if not 0 <= self.recharge_time < math.inf:
+            raise InstanceError("recharge time must be nonnegative and finite")
         if len(self.start_depots) != self.vehicles:
             raise InstanceError("one start depot per vehicle is required")
         for b in self.start_depots:

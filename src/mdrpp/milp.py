@@ -12,7 +12,15 @@ import itertools
 from dataclasses import dataclass, field
 
 from .instance import Instance, RequiredEdge, add_dummy_nodes
-from .solution import Route, Solution, Trip, covered_by_walk, route_time, walk_cost
+from .solution import (
+    Route,
+    Solution,
+    Trip,
+    covered_by_walk,
+    route_time,
+    walk_cost,
+    worst_route_time,
+)
 
 INT_TOL = 1e-6
 
@@ -272,11 +280,7 @@ def _subtour_rows(inst: Instance, arcs, xcol, K: int, F: int, cap: int) -> list[
         raise ModelSizeError(
             f"{len(free_nodes)} non-depot nodes exceed the subtour enumeration cap "
             f"of {cap}; raise the cap or use subtour_mode='none'")
-    oriented = []
-    for e in inst.required:
-        oriented.append((e.frm, e.to))
-        if not e.directed:
-            oriented.append((e.to, e.frm))
+    oriented = [o for e in inst.required for o in e.orientations()]
     arc_ids: dict[tuple[int, int], list[int]] = {}
     for a, (i, j, _) in enumerate(arcs):
         arc_ids.setdefault((i, j), []).append(a)
@@ -489,9 +493,7 @@ def decode_solution(inst: Instance, num_trips: int, assignment: dict[str, float]
                               covered=tuple(sorted(covered_by_walk(inst, walk)))))
             pos = end[0]
         routes.append(Route(k, tuple(trips)))
-    makespan = max(
-        (route_time((t.duration for t in r.trips), inst.recharge_time) for r in routes),
-        default=0.0)
+    makespan = worst_route_time(routes, inst.recharge_time)
     if abs(makespan - beta) > 1e-6 and beta:
         raise DecodeError(f"decoded makespan {makespan} disagrees with beta {beta}")
     return Solution(tuple(routes), makespan, ())

@@ -5,26 +5,24 @@ remaining required edge; a vehicle that cannot reach any edge in one trip is
 repositioned, one depot hop at a time, strictly closer to its allocated target
 edge.  Vehicles that can neither cover nor reposition are retired.  Required
 edges crossed incidentally along the way are credited as covered.
+
+`FleetState` is the route model every constructive solver shares: trips run
+depot to depot and a vehicle fully recharges between trips.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import WeightedGraph, all_to_set, one_to_all, path_from_parents, path_to_set
+from .graph import DistanceTables, path_from_parents
 from .instance import Instance, RequiredEdge
-from .solution import Route, Solution, Trip, covered_by_walk, route_time
-
-EPS = 1e-9
+from .solution import EPS, Route, Solution, Trip, covered_by_walk, worst_route_time
 
 
 @dataclass
 class VehicleState:
     location: int
-    utilization: float = 0.0
     available: float = 0.0
-    path: list[int] = field(default_factory=list)
-    last_depot_arrival: float = 0.0
     infeasible: bool = False
     target: RequiredEdge | None = None
     trips: list[Trip] = field(default_factory=list)
@@ -35,49 +33,59 @@ class FleetState:
     vehicles: list[VehicleState]
     uncovered: list[RequiredEdge]
 
+    def next_vehicle(self, candidates=None) -> int | None:
+        """Feasible vehicle with minimum availability time, ties by index.
+
+        `candidates` (ascending vehicle indices) narrows the choice; the
+        default is the whole fleet.
+        """
+        best = None
+        for k in range(len(self.vehicles)) if candidates is None else candidates:
+            v = self.vehicles[k]
+            if v.infeasible:
+                continue
+            if best is None or v.available < self.vehicles[best].available:
+                best = k
+        return best
+
+    def commit(self, k: int, trip: Trip, recharge_time: float) -> None:
+        """Append trip to vehicle k's route and credit the edges it covers."""
+        veh = self.vehicles[k]
+        # two additions, not one: the rounding decides availability ties
+        if veh.trips:
+            veh.available += recharge_time
+        veh.available += trip.duration
+        veh.location = trip.nodes[-1]
+        veh.trips.append(trip)
+        if trip.covered:
+            covered = set(trip.covered)
+            self.uncovered = [e for e in self.uncovered if e not in covered]
+            for v in self.vehicles:
+                if v.target in covered:
+                    v.target = None
+
+    def solution(self, recharge_time: float) -> Solution:
+        routes = tuple(Route(k, tuple(v.trips)) for k, v in enumerate(self.vehicles))
+        return Solution(routes, worst_route_time(routes, recharge_time),
+                        tuple(self.uncovered))
+
 
 def initial_fleet_state(inst: Instance) -> FleetState:
-    vehicles = [
-        VehicleState(location=inst.start_depot(k), path=[inst.start_depot(k)])
-        for k in range(inst.vehicles)
-    ]
+    vehicles = [VehicleState(location=inst.start_depot(k)) for k in range(inst.vehicles)]
     return FleetState(vehicles=vehicles, uncovered=list(inst.required))
-
-
-class _Tables:
-    """Per-instance shortest-path caches shared across iterations."""
-
-    def __init__(self, inst: Instance):
-        self.inst = inst
-        g = inst.graph
-        self.to_depot_cost, self.to_depot_succ, _ = all_to_set(g, inst.depots)
-        self.from_depot: dict[int, tuple[list[float], list[int]]] = {}
-        for d in sorted(set(inst.depots)):
-            self.from_depot[d] = one_to_all(g, d)
-
-    def depot_return(self, node: int) -> float:
-        return self.to_depot_cost[node]
-
-    def depot_return_walk(self, node: int) -> tuple[int, ...]:
-        return path_to_set(self.to_depot_succ, node)
-
-    def edge_distance(self, src_costs: list[float], e: RequiredEdge) -> float:
-        return min(src_costs[e.frm], src_costs[e.to])
 
 
 def select_next_vehicle(state: FleetState) -> int | None:
     """Feasible vehicle with minimum availability time, ties by index."""
-    best = None
-    for k, v in enumerate(state.vehicles):
-        if v.infeasible:
-            continue
-        if best is None or v.available < state.vehicles[best].available:
-            best = k
-    return best
+    return state.next_vehicle()
+
+
+def _edge_distance(costs: list[float], e: RequiredEdge) -> float:
+    return min(costs[e.frm], costs[e.to])
 
 
 def closest_feasible_edge(inst: Instance, state: FleetState, k: int,
-                          tables: _Tables | None = None
+                          tables: DistanceTables | None = None
                           ) -> tuple[RequiredEdge, Trip] | None:
     """Cheapest single-trip coverage of a remaining required edge by vehicle k.
 
@@ -86,21 +94,17 @@ def closest_feasible_edge(inst: Instance, state: FleetState, k: int,
     tried for undirected edges.  Ties break on (duration, edge index,
     orientation).
     """
-    tables = tables or _Tables(inst)
+    tables = tables or DistanceTables(inst.graph, inst.depots)
     veh = state.vehicles[k]
-    remaining = inst.capacity - veh.utilization
-    costs, parents = one_to_all(inst.graph, veh.location)
+    costs, parents = tables.row(veh.location)
     best = None
     for idx, e in enumerate(state.uncovered):
-        orientations = [(e.frm, e.to)] if e.directed else [(e.frm, e.to), (e.to, e.frm)]
-        for orient, (tail, head) in enumerate(orientations):
+        for orient, (tail, head) in enumerate(e.orientations()):
             w = inst.graph.min_weight(tail, head)
             if w is None:
                 continue
-            approach = costs[tail]
-            ret = tables.depot_return(head)
-            duration = approach + w + ret
-            if duration > remaining + EPS:
+            duration = costs[tail] + w + tables.to_depot_cost[head]
+            if duration > inst.capacity + EPS:
                 continue
             key = (duration, idx, orient)
             if best is None or key < best[0]:
@@ -109,7 +113,7 @@ def closest_feasible_edge(inst: Instance, state: FleetState, k: int,
         return None
     _, e, tail, head = best
     nodes = path_from_parents(parents, veh.location, tail)
-    nodes = nodes + (head,) + tables.depot_return_walk(head)[1:]
+    nodes = nodes + (head,) + tables.return_walk(head)[1:]
     duration = best[0][0]
     trip = Trip(nodes=nodes, duration=duration,
                 covered=tuple(sorted(covered_by_walk(inst, nodes))))
@@ -118,7 +122,7 @@ def closest_feasible_edge(inst: Instance, state: FleetState, k: int,
 
 def closest_feasible_depot(inst: Instance, state: FleetState, k: int,
                            target: RequiredEdge,
-                           tables: _Tables | None = None
+                           tables: DistanceTables | None = None
                            ) -> tuple[int, Trip] | None:
     """Reachable depot strictly closer to the target edge, best first.
 
@@ -126,18 +130,17 @@ def closest_feasible_depot(inst: Instance, state: FleetState, k: int,
     ties break on the smaller depot id.  Returns None when no reachable depot
     improves on the vehicle's current distance.
     """
-    tables = tables or _Tables(inst)
+    tables = tables or DistanceTables(inst.graph, inst.depots)
     veh = state.vehicles[k]
-    remaining = inst.capacity - veh.utilization
-    costs, parents = one_to_all(inst.graph, veh.location)
-    current = tables.edge_distance(costs, target)
+    costs, parents = tables.row(veh.location)
+    current = _edge_distance(costs, target)
     best = None
     for d in sorted(set(inst.depots)):
         if d == veh.location:
             continue
-        if costs[d] > remaining + EPS:
+        if costs[d] > inst.capacity + EPS:
             continue
-        dist = tables.edge_distance(tables.from_depot[d][0], target)
+        dist = _edge_distance(tables.row(d)[0], target)
         if dist >= current - EPS:
             continue
         key = (dist, d)
@@ -152,34 +155,16 @@ def closest_feasible_depot(inst: Instance, state: FleetState, k: int,
     return depot, trip
 
 
-def _commit_trip(state: FleetState, k: int, trip: Trip, recharge_time: float) -> None:
-    veh = state.vehicles[k]
-    if veh.trips:
-        veh.available += recharge_time
-    veh.available += trip.duration
-    veh.last_depot_arrival = veh.available
-    veh.location = trip.nodes[-1]
-    veh.utilization = 0.0
-    veh.path.extend(trip.nodes[1:])
-    veh.trips.append(trip)
-    if trip.covered:
-        covered = set(trip.covered)
-        state.uncovered = [e for e in state.uncovered if e not in covered]
-        for v in state.vehicles:
-            if v.target in covered:
-                v.target = None
-
-
 def solve_multitrip(inst: Instance) -> Solution:
     """Run the constructive heuristic; partial coverage yields a partial Solution."""
-    tables = _Tables(inst)
+    tables = DistanceTables(inst.graph, inst.depots)
     state = initial_fleet_state(inst)
     # termination is guaranteed by the strictly-closer depot rule; the guard
     # only turns a latent bug into a loud failure
     guard = 1000 + 50 * inst.vehicles * max(1, len(inst.required)) * (len(inst.depots) + 1)
     iterations = 0
     while state.uncovered:
-        k = select_next_vehicle(state)
+        k = state.next_vehicle()
         if k is None:
             break
         iterations += 1
@@ -187,41 +172,35 @@ def solve_multitrip(inst: Instance) -> Solution:
             raise RuntimeError("multi-trip heuristic failed to make progress")
         hit = closest_feasible_edge(inst, state, k, tables)
         if hit is not None:
-            _commit_trip(state, k, hit[1], inst.recharge_time)
+            state.commit(k, hit[1], inst.recharge_time)
             continue
         veh = state.vehicles[k]
         if veh.target is None or veh.target not in state.uncovered:
-            veh.target = _closest_uncovered(inst, state, k, tables)
+            veh.target = _closest_uncovered(state, k, tables)
         move = closest_feasible_depot(inst, state, k, veh.target, tables)
         if move is None:
             veh.infeasible = True
             continue
-        _commit_trip(state, k, move[1], inst.recharge_time)
+        state.commit(k, move[1], inst.recharge_time)
 
-    # complete any path not ending at a depot (defensive: committed trips
-    # always end at depots)
+    # a vehicle retired before its first trip still stands at its start
+    # depot, which need not belong to the depot set
     depot_set = set(inst.depots)
     for k, veh in enumerate(state.vehicles):
         if veh.location not in depot_set:
-            walk = tables.depot_return_walk(veh.location)
+            walk = tables.return_walk(veh.location)
             if len(walk) > 1:
-                trip = Trip(nodes=walk, duration=tables.depot_return(veh.location),
+                trip = Trip(nodes=walk, duration=tables.to_depot_cost[veh.location],
                             covered=tuple(sorted(covered_by_walk(inst, walk))))
-                _commit_trip(state, k, trip, inst.recharge_time)
+                state.commit(k, trip, inst.recharge_time)
 
-    routes = tuple(Route(k, tuple(v.trips)) for k, v in enumerate(state.vehicles))
-    makespan = max(
-        (route_time((t.duration for t in r.trips), inst.recharge_time) for r in routes),
-        default=0.0)
-    return Solution(routes=routes, makespan=makespan,
-                    uncovered=tuple(state.uncovered))
+    return state.solution(inst.recharge_time)
 
 
-def _closest_uncovered(inst: Instance, state: FleetState, k: int,
-                       tables: _Tables) -> RequiredEdge:
-    costs, _ = one_to_all(inst.graph, state.vehicles[k].location)
+def _closest_uncovered(state: FleetState, k: int, tables: DistanceTables) -> RequiredEdge:
+    costs = tables.row(state.vehicles[k].location)[0]
     best = min(
-        (tables.edge_distance(costs, e), idx)
+        (_edge_distance(costs, e), idx)
         for idx, e in enumerate(state.uncovered)
     )
     return state.uncovered[best[1]]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .instance import Instance, RequiredEdge
@@ -44,11 +45,15 @@ def route_time(durations, recharge_time: float) -> float:
     return sum(durations) + (len(durations) - 1) * recharge_time
 
 
+def worst_route_time(routes, recharge_time: float) -> float:
+    """Makespan: worst route time over the routes, in route order; 0.0 without routes."""
+    return max((route_time((t.duration for t in r.trips), recharge_time) for r in routes),
+               default=0.0)
+
+
 def evaluate_solution(inst: Instance, sol: Solution) -> float:
     """Makespan: worst route time across the fleet."""
-    times = [route_time((t.duration for t in r.trips), inst.recharge_time)
-             for r in sol.routes]
-    return max(times, default=0.0)
+    return worst_route_time(sol.routes, inst.recharge_time)
 
 
 def gap(m_heuristic: float, m_optimal: float) -> float:
@@ -86,11 +91,22 @@ def check_feasibility(inst: Instance, sol: Solution) -> list[str]:
     findings: list[str] = []
     depot_set = set(inst.depots)
     covered: set[RequiredEdge] = set()
+    seen: set[int] = set()
+    durations_ok = True
     for route in sol.routes:
         k = route.vehicle
+        known = 0 <= k < inst.vehicles
+        if not known:
+            findings.append(f"route for vehicle {k} outside 0..{inst.vehicles - 1}")
+        elif k in seen:
+            findings.append(f"second route for vehicle {k}")
+        seen.add(k)
         prev_end = None
         for f, trip in enumerate(route.trips):
             tag = f"vehicle {k} trip {f}"
+            if not 0 <= trip.duration < math.inf:
+                findings.append(f"{tag}: duration {trip.duration} is negative or not finite")
+                durations_ok = False
             if not trip.nodes:
                 findings.append(f"{tag}: empty node walk")
                 continue
@@ -99,7 +115,7 @@ def check_feasibility(inst: Instance, sol: Solution) -> list[str]:
             if trip.nodes[-1] not in depot_set:
                 findings.append(f"{tag}: ends at non-depot node {trip.nodes[-1]}")
             if f == 0:
-                if k < len(inst.start_depots) and trip.nodes[0] != inst.start_depot(k):
+                if known and trip.nodes[0] != inst.start_depot(k):
                     findings.append(
                         f"{tag}: starts at {trip.nodes[0]}, vehicle based at "
                         f"{inst.start_depot(k)}")
@@ -121,6 +137,11 @@ def check_feasibility(inst: Instance, sol: Solution) -> list[str]:
     for e in inst.required:
         if e not in covered:
             findings.append(f"required edge ({e.frm},{e.to}) not covered")
+    # route_time raises on a negative duration, so only sound routes are summed
+    if durations_ok:
+        value = evaluate_solution(inst, sol)
+        if not abs(sol.makespan - value) <= DURATION_TOL:
+            findings.append(f"stated makespan {sol.makespan} differs from evaluated {value}")
     return findings
 
 
@@ -132,7 +153,8 @@ def write_solution(inst: Instance, sol: Solution) -> str:
             nodes = " ".join(str(n) for n in trip.nodes)
             lines.append(f"TRIP {repr(float(trip.duration))} {nodes}")
     for e in sol.uncovered:
-        lines.append(f"UNCOVERED {e.frm} {e.to}")
+        suffix = " DIR" if e.directed else ""
+        lines.append(f"UNCOVERED {e.frm} {e.to}{suffix}")
     return "\n".join(lines) + "\n"
 
 
@@ -172,7 +194,8 @@ def parse_solution(text: str) -> Solution | str:
                 nodes = tuple(int(t) for t in tokens[2:])
                 cur_trips.append(Trip(nodes, duration))
             elif kind == "UNCOVERED":
-                uncovered.append(RequiredEdge(int(tokens[1]), int(tokens[2])))
+                directed = len(tokens) > 3 and tokens[3].upper() == "DIR"
+                uncovered.append(RequiredEdge(int(tokens[1]), int(tokens[2]), directed))
             else:
                 raise ValueError(f"unknown directive {tokens[0]!r}")
         except (IndexError, ValueError) as exc:

@@ -1,5 +1,7 @@
 """Comparison heuristics: path scanning, augment-merge, construct-strike."""
 
+import hashlib
+
 import pytest
 
 from mdrpp import (
@@ -10,6 +12,8 @@ from mdrpp import (
     construct_strike,
     path_scanning,
     solve_exact,
+    solve_multitrip,
+    write_solution,
 )
 
 from conftest import (
@@ -126,3 +130,46 @@ def test_construct_strike_artificial_edges_are_spliced():
     res = construct_strike(inst)
     if res.solved:
         assert check_feasibility(inst, res.outcome) == []
+
+
+# sha256 (first 16 hex digits) of each solver's output on tiny_corpus(20):
+# the write_solution text, or the Unsolved reason
+PINNED_OUTPUTS = {
+    "mt": """
+        c7248ff6ba71d65d 7e3214752ba91c0a f04cfef827ba4e7a 4393c032ec4bd753
+        c9909d0b98eb41ab a7a63a6b075c7629 b1cc285ed98649fe f119465811203862
+        b580f5e19178aec2 ba217351384ee55d 48b3c1c219719c47 4949ae1e1d214922
+        86c3744d90eb573d 65d3c25db8418eb1 f988e5e378052e2f f291d854a3e9907b
+        93a3002cab20aec3 81d901706b89c447 5fa8cb1780bfce72 93b6cbce6d5780c9""",
+    "ps": """
+        0acf9e30079f6a94 0acf9e30079f6a94 0acf9e30079f6a94 0acf9e30079f6a94
+        80c65adca8229f81 8dd0b649f73bd58b 0acf9e30079f6a94 51bb05d074e0fbba
+        2650c9002d8b3b9b 11a3e7ab56e0b0ab 50abb9d529dd0928 643a99cc60a4f8b0
+        a2144826a234fdc4 1fdbe8d59f5c006b 6933e17b937e8f83 0acf9e30079f6a94
+        9afa42ac420de33d 28cb29e802a1724d 0acf9e30079f6a94 ee1269ec6960e2f6""",
+    "am": """
+        d3a7203d5934212c 53e36aaad7392fe1 4cbac93639e6a9c6 998ec13f7677f786
+        687152c9d0a6a5b6 01b98291955035b8 11496865739e1646 2df7afcf774f5ab9
+        f604902e5cc0e246 c66123076b4a437e f36dcadce9e593a9 c0cf528522a0a667
+        7846d0e56d4587f2 3d2ecff333f72633 6933e17b937e8f83 a22b2894e695427e
+        178888151aff0977 c69d03991fd83f4c 2d61daf286125a60 47d68a9a1a578041""",
+    "cs": """
+        ee54ed324962cd3c ee54ed324962cd3c ee54ed324962cd3c ee54ed324962cd3c
+        80c65adca8229f81 8dd0b649f73bd58b ee54ed324962cd3c 51bb05d074e0fbba
+        2650c9002d8b3b9b 11a3e7ab56e0b0ab 50abb9d529dd0928 643a99cc60a4f8b0
+        a2144826a234fdc4 1fdbe8d59f5c006b 6933e17b937e8f83 ee54ed324962cd3c
+        9afa42ac420de33d 28cb29e802a1724d ee54ed324962cd3c ee1269ec6960e2f6""",
+}
+
+
+@pytest.mark.parametrize("alg", sorted(PINNED_OUTPUTS))
+def test_outputs_are_pinned_on_corpus(alg):
+    got = []
+    for inst in tiny_corpus(20):
+        if alg == "mt":
+            text = write_solution(inst, solve_multitrip(inst))
+        else:
+            res = {"ps": path_scanning, "am": augment_merge, "cs": construct_strike}[alg](inst)
+            text = write_solution(inst, res.outcome) if res.solved else res.reason
+        got.append(hashlib.sha256(text.encode()).hexdigest()[:16])
+    assert got == PINNED_OUTPUTS[alg].split()

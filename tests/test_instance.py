@@ -18,6 +18,7 @@ from mdrpp import (
     serialize_instance,
     validate_instance,
 )
+from mdrpp.graph import GraphError
 from mdrpp.instance import _round_half_up, undirected_edges
 from mdrpp.exact import solve_exact
 
@@ -77,6 +78,14 @@ def test_parse_rejects_malformed_input():
         parse_instance("MDRPPRV 1\nNODES 2\nDEPOTS 0\nVEHICLES 1\n"
                        "CAPACITY 1.0\nRECHARGE 0.0\nSTART 0\n"
                        "ARC 0 1 1.0\nARC 1 0 1.0\nREQ 0 5\n")
+    # non-finite numbers are rejected by the graph and the instance
+    base = GOLDEN.replace("REQ 0 1\n", "")
+    with pytest.raises(GraphError):
+        parse_instance(base.replace("ARC 0 1 1.0", "ARC 0 1 nan"))
+    with pytest.raises(InstanceError):
+        parse_instance(base.replace("CAPACITY 5.0", "CAPACITY nan"))
+    with pytest.raises(InstanceError):
+        parse_instance(base.replace("RECHARGE 0.5", "RECHARGE inf"))
 
 
 def test_comments_and_blank_lines_ignored():
@@ -258,3 +267,9 @@ def test_instance_constructor_guards():
     with pytest.raises(InstanceError):
         Instance(graph=g, depots=(0,), required=(RequiredEdge(0, 2),),
                  vehicles=1, capacity=1.0, recharge_time=0.0, start_depots=(0,))
+    with pytest.raises(InstanceError):
+        Instance(graph=g, depots=(0,), required=(), vehicles=1, capacity=float("nan"),
+                 recharge_time=0.0, start_depots=(0,))
+    with pytest.raises(InstanceError):
+        Instance(graph=g, depots=(0,), required=(), vehicles=1, capacity=1.0,
+                 recharge_time=float("inf"), start_depots=(0,))

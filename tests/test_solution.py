@@ -129,6 +129,25 @@ def test_check_feasibility_findings():
     assert any("required" in f for f in check_feasibility(inst, partial))
     assert not partial.complete
 
+    # unknown vehicle, a second route for vehicle 0, understated makespan
+    inst = trivial_instance()
+    sol = make_solution(inst, [[(0, 1, 0)]])
+    assert sol.makespan == pytest.approx(2.0)
+    assert check_feasibility(inst, sol) == []
+    route = sol.routes[0]
+    faulty = Solution((route, Route(7, route.trips), Route(0, route.trips)), 0.1, ())
+    findings = check_feasibility(inst, faulty)
+    assert any("vehicle 7 outside" in f for f in findings)
+    assert any("second route for vehicle 0" in f for f in findings)
+    assert any("stated makespan 0.1" in f for f in findings)
+    assert len(findings) == 3
+
+    # negative and non-finite durations are findings, not exceptions
+    for duration in (-1.0, float("nan"), float("inf")):
+        bad_trip = Trip(route.trips[0].nodes, duration)
+        findings = check_feasibility(inst, Solution((Route(0, (bad_trip,)),), 2.0, ()))
+        assert any("negative or not finite" in f for f in findings)
+
 
 def test_solution_file_round_trip():
     inst = two_vehicle_instance()
@@ -140,6 +159,16 @@ def test_solution_file_round_trip():
     assert [t.nodes for r in again.routes for t in r.trips] == \
            [t.nodes for r in sol.routes for t in r.trips]
     assert check_feasibility(inst, again) == []
+
+    # a partial solution keeps the direction of its uncovered edges
+    g = undirected_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    directed = Instance(graph=g, depots=(0,),
+                        required=(RequiredEdge(0, 1), RequiredEdge(2, 1, directed=True)),
+                        vehicles=1, capacity=9.0, recharge_time=0.0, start_depots=(0,))
+    sol = make_solution(directed, [[(0, 1, 0)]])
+    assert sol.uncovered == (RequiredEdge(2, 1, directed=True),)
+    again = parse_solution(write_solution(directed, sol))
+    assert again.uncovered == sol.uncovered
 
 
 def test_unsolved_file_round_trip():
