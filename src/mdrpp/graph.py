@@ -167,25 +167,56 @@ def is_connected(g: WeightedGraph) -> bool:
     return len(seen) == g.node_count
 
 
+class DijkstraRun:
+    """State of one Dijkstra run that can be stopped and resumed.
+
+    `settled` lists the nodes in the order they were settled; their `costs`
+    and `parents` entries are final.  Between advances the heap top is never
+    stale, so `frontier` is the cost of the next node to settle.
+    """
+
+    __slots__ = ("costs", "parents", "heap", "settled")
+
+    def __init__(self, g: WeightedGraph, src: int):
+        _check_node(g, src)
+        self.costs = [math.inf] * g.node_count
+        self.parents = [-1] * g.node_count
+        self.costs[src] = 0.0
+        self.heap = [(0.0, src)]
+        self.settled: list[int] = []
+
+    @property
+    def frontier(self) -> float:
+        return self.heap[0][0] if self.heap else math.inf
+
+    def _advance(self, g: WeightedGraph, bound: float) -> None:
+        """Settle every node whose cost is at most bound.
+
+        A run advanced in steps performs the same heap operations in the same
+        order as one run to infinity, so its final costs and parents match.
+        """
+        cost, parent, heap, settled = self.costs, self.parents, self.heap, self.settled
+        adj = g._adj
+        while heap and heap[0][0] <= bound:
+            c, u = heapq.heappop(heap)
+            if c > cost[u]:
+                continue
+            settled.append(u)
+            for v, w in adj[u]:
+                nc = c + w
+                if nc < cost[v]:
+                    cost[v] = nc
+                    parent[v] = u
+                    heapq.heappush(heap, (nc, v))
+        while heap and heap[0][0] > cost[heap[0][1]]:
+            heapq.heappop(heap)
+
+
 def one_to_all(g: WeightedGraph, src: int) -> tuple[list[float], list[int]]:
     """Plain Dijkstra: (costs, parents) arrays; parent -1 where unreached."""
-    _check_node(g, src)
-    inf = float("inf")
-    cost = [inf] * g.node_count
-    parent = [-1] * g.node_count
-    cost[src] = 0.0
-    heap = [(0.0, src)]
-    while heap:
-        c, u = heapq.heappop(heap)
-        if c > cost[u]:
-            continue
-        for v, w in g.neighbors(u):
-            nc = c + w
-            if nc < cost[v]:
-                cost[v] = nc
-                parent[v] = u
-                heapq.heappush(heap, (nc, v))
-    return cost, parent
+    run = DijkstraRun(g, src)
+    run._advance(g, math.inf)
+    return run.costs, run.parents
 
 
 def path_from_parents(parents: list[int], src: int, dst: int) -> tuple[int, ...]:
@@ -210,12 +241,11 @@ def all_to_set(g: WeightedGraph, targets) -> tuple[list[float], list[int], list[
     targets = sorted(set(targets))
     if not targets:
         raise GraphError("targets must be nonempty")
+    # ascending u, one arc per (u, v): every reversed list comes out sorted
     radj: list[list[tuple[int, float]]] = [[] for _ in range(g.node_count)]
     for u in range(g.node_count):
         for v, w in g.neighbors(u):
             radj[v].append((u, w))
-    for lst in radj:
-        lst.sort()
     inf = float("inf")
     cost = [inf] * g.node_count
     succ = [-1] * g.node_count
@@ -251,20 +281,32 @@ def path_to_set(succ: list[int], src: int) -> tuple[int, ...]:
 class DistanceTables:
     """Shortest-path tables over one graph, shared by the solvers.
 
-    Holds the `all_to_set` table toward `depots` and fills each `one_to_all`
-    row the first time its source is asked for.
+    Holds the `all_to_set` table toward `depots` and one resumable Dijkstra
+    run per source, started the first time the source is asked for and
+    advanced only as far as a caller needs.
     """
 
     def __init__(self, graph: WeightedGraph, depots):
         self.graph = graph
         self.to_depot_cost, self.to_depot_succ, _ = all_to_set(graph, depots)
+        self._runs: dict[int, DijkstraRun] = {}
+        # complete runs as returned by `row`: one lookup on the baselines' hot paths
         self._rows: dict[int, tuple[list[float], list[int]]] = {}
 
+    def run(self, src: int, bound: float = -math.inf) -> DijkstraRun:
+        """Run from src, advanced until every node within bound is settled."""
+        run = self._runs.get(src)
+        if run is None:
+            run = self._runs[src] = DijkstraRun(self.graph, src)
+        run._advance(self.graph, bound)
+        return run
+
     def row(self, src: int) -> tuple[list[float], list[int]]:
-        """(costs, parents) of a Dijkstra run from src."""
+        """(costs, parents) of a complete Dijkstra run from src."""
         row = self._rows.get(src)
         if row is None:
-            row = self._rows[src] = one_to_all(self.graph, src)
+            run = self.run(src, math.inf)
+            row = self._rows[src] = run.costs, run.parents
         return row
 
     def return_walk(self, node: int) -> tuple[int, ...]:

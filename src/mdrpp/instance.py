@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import re
@@ -79,6 +80,15 @@ class Instance:
 
     def start_depot(self, k: int) -> int:
         return self.start_depots[k]
+
+    @functools.cached_property
+    def served_by_arc(self) -> dict[tuple[int, int], list[RequiredEdge]]:
+        """Required edges that traversing each (tail, head) arc serves."""
+        served: dict[tuple[int, int], list[RequiredEdge]] = {}
+        for e in self.required:
+            for arc in e.orientations():
+                served.setdefault(arc, []).append(e)
+        return served
 
 
 @dataclass(frozen=True)
@@ -167,7 +177,10 @@ def parse_instance(text: str) -> Instance:
             elif kind == "START":
                 start = [int(t) for t in tokens[1:]]
             elif kind == "ARC":
-                arcs.append(Arc(int(tokens[1]), int(tokens[2]), float(tokens[3])))
+                weight = float(tokens[3])
+                if not 0 <= weight < math.inf:
+                    raise FormatError(line_no, f"ARC weight {weight} is negative or not finite")
+                arcs.append(Arc(int(tokens[1]), int(tokens[2]), weight))
             elif kind == "REQ":
                 directed = len(tokens) > 3 and tokens[3].upper() == "DIR"
                 required.append(RequiredEdge(int(tokens[1]), int(tokens[2]), directed))
@@ -227,8 +240,8 @@ def parse_carp_benchmark(text: str) -> tuple[WeightedGraph, list[tuple[int, int,
         m = _CARP_EDGE_RE.search(line)
         if m:
             i, j, c = int(m.group(1)), int(m.group(2)), float(m.group(3))
-            if c < 0:
-                raise FormatError(line_no, "negative edge cost")
+            if not 0 <= c < math.inf:
+                raise FormatError(line_no, f"edge cost {c} is negative or not finite")
             edges.append((i - 1, j - 1, c))
             continue
         m = _CARP_COUNT_RE.search(line)
@@ -245,8 +258,8 @@ def parse_carp_benchmark(text: str) -> tuple[WeightedGraph, list[tuple[int, int,
                 i, j, c = int(tokens[0]), int(tokens[1]), float(tokens[2])
             except ValueError:
                 continue
-            if c < 0:
-                raise FormatError(line_no, "negative edge cost")
+            if not 0 <= c < math.inf:
+                raise FormatError(line_no, f"edge cost {c} is negative or not finite")
             edges.append((i - 1, j - 1, c))
     if node_count is None:
         raise FormatError(1, "missing node count header")

@@ -12,6 +12,7 @@ depot to depot and a vehicle fully recharges between trips.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .graph import DistanceTables, path_from_parents
@@ -28,10 +29,78 @@ class VehicleState:
     trips: list[Trip] = field(default_factory=list)
 
 
+class TripQueues:
+    """Trips serving an uncovered edge from each source, cheapest first.
+
+    Lives for one solve.  Each source's heap holds (duration, position in
+    `inst.required`, orientation, tail, head) and grows with the source's
+    Dijkstra run: a tail's trips are pushed once the run has settled the tail,
+    so the run is advanced only until no unsettled tail can beat the top.
+    Trips of covered edges are dropped when they reach the top.  The uncovered
+    list is an order-preserving subsequence of `inst.required`, so the position
+    breaks ties exactly as the index in that list does.
+    """
+
+    def __init__(self, inst: Instance, tables: DistanceTables):
+        self.tables = tables
+        self._required = inst.required
+        self._limit = inst.capacity + EPS
+        self._open = [True] * len(inst.required)
+        self._from_tail: list[list[tuple[int, int, int, float]]] = [
+            [] for _ in range(inst.graph.node_count)]
+        min_weight = inst.graph.min_weight
+        for pos, e in enumerate(inst.required):
+            for orient, (tail, head) in enumerate(e.orientations()):
+                self._from_tail[tail].append((pos, orient, head, min_weight(tail, head)))
+        # per source: [Dijkstra run, heap, count of settled tails already pushed]
+        self._sources: dict[int, list] = {}
+
+    def close(self, edges) -> None:
+        """Mark edges covered; their queued trips are skipped from now on."""
+        for e in edges:
+            # every copy of e has a trip with tail e.frm
+            for pos, _, _, _ in self._from_tail[e.frm]:
+                if self._required[pos] == e:
+                    self._open[pos] = False
+
+    def cheapest(self, src: int) -> tuple[float, int, int, int, int] | None:
+        """Cheapest open trip from src within capacity, or None."""
+        source = self._sources.get(src)
+        if source is None:
+            source = self._sources[src] = [self.tables.run(src, 0.0), [], 0]
+        run, heap, pushed = source
+        costs, settled, to_depot = run.costs, run.settled, self.tables.to_depot_cost
+        is_open, from_tail, limit = self._open, self._from_tail, self._limit
+        while True:
+            for tail in settled[pushed:]:
+                for pos, orient, head, w in from_tail[tail]:
+                    if is_open[pos]:
+                        duration = costs[tail] + w + to_depot[head]
+                        if duration <= limit:
+                            heapq.heappush(heap, (duration, pos, orient, tail, head))
+            pushed = len(settled)
+            while heap and not is_open[heap[0][1]]:
+                heapq.heappop(heap)
+            # an unsettled tail costs at least the frontier, and so does its trip
+            frontier = run.frontier
+            if heap:
+                bound = heap[0][0]
+                if frontier > bound:
+                    break
+            elif frontier > limit:
+                break
+            else:
+                bound = frontier
+            self.tables.run(src, bound)
+        source[2] = pushed
+        return heap[0] if heap else None
+
+
 @dataclass
 class FleetState:
     vehicles: list[VehicleState]
     uncovered: list[RequiredEdge]
+    queues: TripQueues | None = None
 
     def next_vehicle(self, candidates=None) -> int | None:
         """Feasible vehicle with minimum availability time, ties by index.
@@ -60,6 +129,8 @@ class FleetState:
         if trip.covered:
             covered = set(trip.covered)
             self.uncovered = [e for e in self.uncovered if e not in covered]
+            if self.queues is not None:
+                self.queues.close(covered)
             for v in self.vehicles:
                 if v.target in covered:
                     v.target = None
@@ -92,32 +163,23 @@ def closest_feasible_edge(inst: Instance, state: FleetState, k: int,
     A candidate trip is shortest path to the edge tail, the edge itself, then
     shortest path from the head to the nearest depot; both orientations are
     tried for undirected edges.  Ties break on (duration, edge index,
-    orientation).
+    orientation).  The state's own trip queues answer when it has them;
+    otherwise one-off queues are built over `tables`.
     """
-    tables = tables or DistanceTables(inst.graph, inst.depots)
-    veh = state.vehicles[k]
-    costs, parents = tables.row(veh.location)
-    best = None
-    for idx, e in enumerate(state.uncovered):
-        for orient, (tail, head) in enumerate(e.orientations()):
-            w = inst.graph.min_weight(tail, head)
-            if w is None:
-                continue
-            duration = costs[tail] + w + tables.to_depot_cost[head]
-            if duration > inst.capacity + EPS:
-                continue
-            key = (duration, idx, orient)
-            if best is None or key < best[0]:
-                best = (key, e, tail, head)
-    if best is None:
+    queues = state.queues
+    if queues is None:
+        queues = TripQueues(inst, tables or DistanceTables(inst.graph, inst.depots))
+        queues.close(set(inst.required).difference(state.uncovered))
+    location = state.vehicles[k].location
+    top = queues.cheapest(location)
+    if top is None:
         return None
-    _, e, tail, head = best
-    nodes = path_from_parents(parents, veh.location, tail)
-    nodes = nodes + (head,) + tables.return_walk(head)[1:]
-    duration = best[0][0]
+    duration, pos, _, tail, head = top
+    nodes = path_from_parents(queues.tables.run(location).parents, location, tail)
+    nodes = nodes + (head,) + queues.tables.return_walk(head)[1:]
     trip = Trip(nodes=nodes, duration=duration,
                 covered=tuple(sorted(covered_by_walk(inst, nodes))))
-    return e, trip
+    return inst.required[pos], trip
 
 
 def closest_feasible_depot(inst: Instance, state: FleetState, k: int,
@@ -159,6 +221,7 @@ def solve_multitrip(inst: Instance) -> Solution:
     """Run the constructive heuristic; partial coverage yields a partial Solution."""
     tables = DistanceTables(inst.graph, inst.depots)
     state = initial_fleet_state(inst)
+    state.queues = TripQueues(inst, tables)
     # termination is guaranteed by the strictly-closer depot rule; the guard
     # only turns a latent bug into a loud failure
     guard = 1000 + 50 * inst.vehicles * max(1, len(inst.required)) * (len(inst.depots) + 1)

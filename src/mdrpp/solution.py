@@ -76,13 +76,11 @@ def walk_cost(inst: Instance, nodes) -> float | None:
 
 def covered_by_walk(inst: Instance, nodes) -> set[RequiredEdge]:
     """Required edges traversed by a walk (direction-sensitive when directed)."""
-    pairs = set(zip(nodes, nodes[1:]))
+    served = inst.served_by_arc
     out = set()
-    for e in inst.required:
-        if (e.frm, e.to) in pairs:
-            out.add(e)
-        elif not e.directed and (e.to, e.frm) in pairs:
-            out.add(e)
+    for pair in set(zip(nodes, nodes[1:])):
+        if pair in served:
+            out.update(served[pair])
     return out
 
 

@@ -5,12 +5,15 @@ import hashlib
 import pytest
 
 from mdrpp import (
+    GenSpec,
     Instance,
     RequiredEdge,
     augment_merge,
     check_feasibility,
     construct_strike,
+    generate_instance,
     path_scanning,
+    random_connected_graph,
     solve_exact,
     solve_multitrip,
     write_solution,
@@ -173,3 +176,22 @@ def test_outputs_are_pinned_on_corpus(alg):
             text = write_solution(inst, res.outcome) if res.solved else res.reason
         got.append(hashlib.sha256(text.encode()).hexdigest()[:16])
     assert got == PINNED_OUTPUTS[alg].split()
+
+
+# sha256 (first 16 hex digits) of the mt output on scaled instances, built as
+# the benchmark builds them: (nodes, edges, seed, set kind) -> digest.  The
+# set-A instance repositions vehicles and ends with a partial solution.
+PINNED_SCALED_MT = {
+    (461, 879, 1, "B"): "9662dbe545d8045a",
+    (230, 440, 1, "A"): "6adaefa70c7fd9e2",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_SCALED_MT), ids=str)
+def test_mt_output_is_pinned_on_scaled_instances(spec):
+    nodes, edges, seed, kind = spec
+    base = random_connected_graph(nodes, edges, seed, integer_weights=False,
+                                  min_weight=0.5, max_weight=3.0)
+    inst = generate_instance(base, GenSpec(nodes, edges, seed, set_kind=kind))
+    text = write_solution(inst, solve_multitrip(inst))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == PINNED_SCALED_MT[spec]

@@ -1,13 +1,20 @@
 """Shortest-path layer checked against Floyd-Warshall and brute-force walks."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdrpp import WeightedGraph, is_connected, shortest_path
-from mdrpp.graph import all_to_set, one_to_all, path_to_set, shortest_path_to_set
+from mdrpp.graph import (
+    DistanceTables,
+    all_to_set,
+    one_to_all,
+    path_to_set,
+    shortest_path_to_set,
+)
 
 from conftest import undirected_graph
 
@@ -162,6 +169,29 @@ def test_all_to_set_agrees_with_per_node_runs():
             assert target_of[s] in depots
             walk = path_to_set(succ, s)
             assert walk[-1] in depots
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_resumed_run_matches_one_to_all(seed):
+    # integer weights, some of them zero, so that equal costs are common
+    rng = random.Random(seed)
+    n = rng.randint(2, 30)
+    arcs = []
+    for _ in range(rng.randint(n, 4 * n)):
+        u, v = rng.sample(range(n), 2)
+        arcs.append((u, v, float(rng.choice((0, 1, 1, 2, 3)))))
+    g = WeightedGraph(n, arcs)
+    src = rng.randrange(n)
+    costs, parents = one_to_all(g, src)
+    tables = DistanceTables(g, [src])
+    for bound in sorted(rng.randint(0, 8) for _ in range(4)):
+        run = tables.run(src, bound)
+        within = {v for v in range(n) if costs[v] <= bound}
+        assert set(run.settled) == within
+        assert run.frontier == min((costs[v] for v in range(n) if v not in within), default=INF)
+        for v in within:
+            assert (run.costs[v], run.parents[v]) == (costs[v], parents[v])
+    assert tables.row(src) == (costs, parents)
 
 
 def test_is_connected():

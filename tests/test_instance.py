@@ -18,7 +18,6 @@ from mdrpp import (
     serialize_instance,
     validate_instance,
 )
-from mdrpp.graph import GraphError
 from mdrpp.instance import _round_half_up, undirected_edges
 from mdrpp.exact import solve_exact
 
@@ -78,10 +77,11 @@ def test_parse_rejects_malformed_input():
         parse_instance("MDRPPRV 1\nNODES 2\nDEPOTS 0\nVEHICLES 1\n"
                        "CAPACITY 1.0\nRECHARGE 0.0\nSTART 0\n"
                        "ARC 0 1 1.0\nARC 1 0 1.0\nREQ 0 5\n")
-    # non-finite numbers are rejected by the graph and the instance
+    # a non-finite weight is a FormatError at its line; the instance rejects the rest
     base = GOLDEN.replace("REQ 0 1\n", "")
-    with pytest.raises(GraphError):
+    with pytest.raises(FormatError) as err:
         parse_instance(base.replace("ARC 0 1 1.0", "ARC 0 1 nan"))
+    assert err.value.line_no == base.splitlines().index("ARC 0 1 1.0") + 1
     with pytest.raises(InstanceError):
         parse_instance(base.replace("CAPACITY 5.0", "CAPACITY nan"))
     with pytest.raises(InstanceError):
@@ -124,6 +124,13 @@ def test_parse_carp_bare_triplet_lines():
     text = "NODES : 3\nEDGES : 2\n1 2 4\n2 3 5\n"
     g, edges = parse_carp_benchmark(text)
     assert g.node_count == 3 and edges == [(0, 1, 4.0), (1, 2, 5.0)]
+
+
+@pytest.mark.parametrize("line", ["1 3 nan", "1 3 inf", "( 1 , 3 ) coste -2"])
+def test_parse_carp_rejects_bad_costs(line):
+    with pytest.raises(FormatError) as err:
+        parse_carp_benchmark(f"NODES : 3\n1 2 4\n{line}\n")
+    assert err.value.line_no == 3
 
 
 def test_parse_carp_header_mismatch():

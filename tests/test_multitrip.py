@@ -14,7 +14,8 @@ from mdrpp import (
     select_next_vehicle,
     solve_multitrip,
 )
-from mdrpp.graph import one_to_all
+from mdrpp.graph import DistanceTables, one_to_all
+from mdrpp.multitrip import TripQueues
 from mdrpp.solution import walk_cost
 
 from conftest import (
@@ -86,12 +87,12 @@ def test_select_next_vehicle_tie_breaks():
     assert select_next_vehicle(state) is None
 
 
-def enumerate_best_trip(inst, location):
-    """Independent oracle: cheapest single trip from `location` covering some
-    uncovered edge, as (duration, edge, orientation-insensitive)."""
+def enumerate_best_trip(inst, location, edges=None):
+    """Independent oracle: cheapest single trip from `location` covering one
+    of `edges` (default: all required edges), as (duration, index in edges)."""
     costs, _ = one_to_all(inst.graph, location)
     best = None
-    for idx, e in enumerate(inst.required):
+    for idx, e in enumerate(inst.required if edges is None else edges):
         orients = [(e.frm, e.to)] if e.directed else [(e.frm, e.to), (e.to, e.frm)]
         for tail, head in orients:
             w = inst.graph.min_weight(tail, head)
@@ -126,6 +127,41 @@ def test_closest_feasible_edge_matches_enumeration():
         assert walk_cost(inst, trip.nodes) == pytest.approx(trip.duration)
         checked += 1
     assert checked >= 10
+
+
+def test_closest_feasible_edge_matches_enumeration_mid_solve():
+    # one solve's tables and trip queues serve every call, so the queues see
+    # covered edges dropped lazily and runs resumed after repositioning rows
+    checked = 0
+    for inst in tiny_corpus(60):
+        tables = DistanceTables(inst.graph, inst.depots)
+        state = initial_fleet_state(inst)
+        state.queues = TripQueues(inst, tables)
+        while state.uncovered:
+            k = select_next_vehicle(state)
+            if k is None:
+                break
+            location = state.vehicles[k].location
+            expected = enumerate_best_trip(inst, location, state.uncovered)
+            got = closest_feasible_edge(inst, state, k, tables)
+            if got is None:
+                assert expected is None
+                move = closest_feasible_depot(inst, state, k, state.uncovered[0], tables)
+                if move is None:
+                    state.vehicles[k].infeasible = True
+                else:
+                    state.commit(k, move[1], inst.recharge_time)
+                continue
+            edge, trip = got
+            assert trip.duration == pytest.approx(expected[0], abs=1e-9)
+            assert edge == state.uncovered[expected[1]]
+            assert trip.nodes[0] == location
+            assert trip.nodes[-1] in inst.depots
+            assert walk_cost(inst, trip.nodes) == pytest.approx(trip.duration)
+            assert edge in trip.covered
+            state.commit(k, trip, inst.recharge_time)
+            checked += 1
+    assert checked >= 100
 
 
 def test_closest_feasible_depot_properties():
