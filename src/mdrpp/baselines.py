@@ -8,10 +8,9 @@ Unsolved value, never an exception.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
-from .graph import Arc, DistanceTables, WeightedGraph, path_from_parents, shortest_path
+from .graph import Arc, DistanceTables, WeightedGraph, _lex_dijkstra, path_from_parents
 from .instance import Instance
 from .multitrip import FleetState, initial_fleet_state
 from .solution import EPS, Solution, Trip, covered_by_walk
@@ -107,14 +106,15 @@ def _scan_full(tables: DistanceTables, inst: Instance, state: FleetState, criter
     """
     budget = 10 * max(1, len(inst.required)) + len(state.vehicles)
     steps = 0
-    while state.uncovered and steps < budget:
+    while state.remaining and steps < budget:
         steps += 1
         k = state.next_vehicle()
         if k is None:
             break
         veh = state.vehicles[k]
-        trip = _build_trip(tables, inst, veh.location, state.uncovered, criterion, artificial)
-        if trip is None or not any(e in trip.covered for e in state.uncovered):
+        uncovered = state.uncovered
+        trip = _build_trip(tables, inst, veh.location, uncovered, criterion, artificial)
+        if trip is None or not any(e in trip.covered for e in uncovered):
             veh.infeasible = True
             continue
         state.commit(k, trip, inst.recharge_time)
@@ -127,7 +127,7 @@ def path_scanning(inst: Instance) -> BaselineResult:
     for criterion in range(CRITERIA):
         state = initial_fleet_state(inst)
         _scan_full(tables, inst, state, criterion, {})
-        if state.uncovered:
+        if state.remaining:
             continue
         sol = state.solution(inst.recharge_time)
         if best is None or (sol.makespan, criterion) < (best[0], best[1]):
@@ -223,7 +223,7 @@ def construct_strike(inst: Instance) -> BaselineResult:
     state = initial_fleet_state(inst)
     passes = 0
     max_passes = 10 * max(1, len(inst.required))
-    while state.uncovered:
+    while state.remaining:
         passes += 1
         if passes > max_passes:
             return BaselineResult(None, reason="pass budget exhausted")
@@ -232,11 +232,11 @@ def construct_strike(inst: Instance) -> BaselineResult:
         tables = DistanceTables(residual, inst.start_depots)
         best = None
         for criterion in range(CRITERIA):
-            trial = copy.deepcopy(state)
+            trial = state.copy()
             for v in trial.vehicles:
                 v.infeasible = False
             _scan_full(tables, inst, trial, criterion, artificial)
-            progress = len(state.uncovered) - len(trial.uncovered)
+            progress = state.remaining - trial.remaining
             if progress == 0:
                 continue
             key = (-progress, trial.solution(inst.recharge_time).makespan, criterion)
@@ -272,19 +272,22 @@ def _add_artificial_edges(inst: Instance, tables: DistanceTables, residual_arcs,
         costs = tables.row(d)[0]
         if any(costs[v] < float("inf") for v in endpoints):
             continue
+        # one search serves every endpoint: a search stopped at an endpoint
+        # pops the same entries up to it, so its path is the same
+        paths = _lex_dijkstra(inst.graph, d)
         best = None
         for v in endpoints:
-            p = shortest_path(inst.graph, d, v)
-            if p is not None and (best is None or p.cost < best.cost):
-                best = p
-        if best is None or len(best.nodes) < 2:
+            if v in paths and (best is None or paths[v][0] < best[0]):
+                best = paths[v]
+        if best is None or len(best[1]) < 2:
             continue
-        v = best.nodes[-1]
+        cost, nodes = best
+        v = nodes[-1]
         if (d, v) in artificial:
             continue
-        residual_arcs.append(Arc(d, v, best.cost))
-        residual_arcs.append(Arc(v, d, best.cost))
-        artificial[(d, v)] = best.nodes
-        artificial[(v, d)] = tuple(reversed(best.nodes))
+        residual_arcs.append(Arc(d, v, cost))
+        residual_arcs.append(Arc(v, d, cost))
+        artificial[(d, v)] = nodes
+        artificial[(v, d)] = tuple(reversed(nodes))
         added = True
     return added

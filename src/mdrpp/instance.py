@@ -90,6 +90,15 @@ class Instance:
                 served.setdefault(arc, []).append(e)
         return served
 
+    @functools.cached_property
+    def required_positions(self) -> dict[RequiredEdge, tuple[int, ...]]:
+        """Positions in `required` of each required edge; equal copies share
+        one entry."""
+        positions: dict[RequiredEdge, tuple[int, ...]] = {}
+        for pos, e in enumerate(self.required):
+            positions[e] = positions.get(e, ()) + (pos,)
+        return positions
+
 
 @dataclass(frozen=True)
 class GenSpec:

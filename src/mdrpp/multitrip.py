@@ -13,7 +13,7 @@ depot to depot and a vehicle fully recharges between trips.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .graph import DistanceTables, path_from_parents
 from .instance import Instance, RequiredEdge
@@ -25,43 +25,54 @@ class VehicleState:
     location: int
     available: float = 0.0
     infeasible: bool = False
-    target: RequiredEdge | None = None
+    target: int | None = None  # position in inst.required
     trips: list[Trip] = field(default_factory=list)
 
 
 class TripQueues:
     """Trips serving an uncovered edge from each source, cheapest first.
 
-    Lives for one solve.  Each source's heap holds (duration, position in
-    `inst.required`, orientation, tail, head) and grows with the source's
-    Dijkstra run: a tail's trips are pushed once the run has settled the tail,
-    so the run is advanced only until no unsettled tail can beat the top.
-    Trips of covered edges are dropped when they reach the top.  The uncovered
-    list is an order-preserving subsequence of `inst.required`, so the position
-    breaks ties exactly as the index in that list does.
+    Lives for one solve and reads that solve's open flags, one per position in
+    `inst.required`.  Each source's heap holds (duration, position,
+    orientation, tail, head) and grows with the source's Dijkstra run: a
+    tail's trips are pushed once the run has settled the tail.  Trips of
+    covered edges are dropped when they reach the top.  The uncovered list is
+    the open positions in order, so the position breaks ties exactly as the
+    index in that list does.
+
+    A trip from an unsettled tail costs at least the frontier plus the trip's
+    extra cost `w + to_depot_cost[head]`, so at least the frontier plus the
+    slack, the smallest extra cost of any open trip.  The run is advanced
+    only until that bound passes the top.
     """
 
-    def __init__(self, inst: Instance, tables: DistanceTables):
+    def __init__(self, inst: Instance, tables: DistanceTables, is_open: list[bool]):
         self.tables = tables
-        self._required = inst.required
+        self._open = is_open
         self._limit = inst.capacity + EPS
-        self._open = [True] * len(inst.required)
         self._from_tail: list[list[tuple[int, int, int, float]]] = [
             [] for _ in range(inst.graph.node_count)]
-        min_weight = inst.graph.min_weight
+        # (extra cost, position) of every trip, ascending; edges only ever
+        # close, so the cursor to the first open one only moves forward
+        self._extra: list[tuple[float, int]] = []
+        self._cursor = 0
+        min_weight, to_depot = inst.graph.min_weight, tables.to_depot_cost
         for pos, e in enumerate(inst.required):
             for orient, (tail, head) in enumerate(e.orientations()):
-                self._from_tail[tail].append((pos, orient, head, min_weight(tail, head)))
+                w = min_weight(tail, head)
+                self._from_tail[tail].append((pos, orient, head, w))
+                self._extra.append((w + to_depot[head], pos))
+        self._extra.sort()
         # per source: [Dijkstra run, heap, count of settled tails already pushed]
         self._sources: dict[int, list] = {}
 
-    def close(self, edges) -> None:
-        """Mark edges covered; their queued trips are skipped from now on."""
-        for e in edges:
-            # every copy of e has a trip with tail e.frm
-            for pos, _, _, _ in self._from_tail[e.frm]:
-                if self._required[pos] == e:
-                    self._open[pos] = False
+    def _slack(self) -> float:
+        """Smallest extra cost of an open trip, or 0 when no trip is open."""
+        extra, is_open, cursor = self._extra, self._open, self._cursor
+        while cursor < len(extra) and not is_open[extra[cursor][1]]:
+            cursor += 1
+        self._cursor = cursor
+        return extra[cursor][0] if cursor < len(extra) else 0.0
 
     def cheapest(self, src: int) -> tuple[float, int, int, int, int] | None:
         """Cheapest open trip from src within capacity, or None."""
@@ -71,6 +82,7 @@ class TripQueues:
         run, heap, pushed = source
         costs, settled, to_depot = run.costs, run.settled, self.tables.to_depot_cost
         is_open, from_tail, limit = self._open, self._from_tail, self._limit
+        slack = self._slack()
         while True:
             for tail in settled[pushed:]:
                 for pos, orient, head, w in from_tail[tail]:
@@ -81,13 +93,15 @@ class TripQueues:
             pushed = len(settled)
             while heap and not is_open[heap[0][1]]:
                 heapq.heappop(heap)
-            # an unsettled tail costs at least the frontier, and so does its trip
+            # frontier + slack rounds apart from a duration summed as
+            # (costs[tail] + w) + to_depot_cost[head]; the EPS margin covers it
             frontier = run.frontier
             if heap:
-                bound = heap[0][0]
-                if frontier > bound:
+                top = heap[0][0]
+                if frontier + slack > top + EPS:
                     break
-            elif frontier > limit:
+                bound = max(frontier, top - slack + EPS)
+            elif frontier + slack > limit + EPS:
                 break
             else:
                 bound = frontier
@@ -98,9 +112,27 @@ class TripQueues:
 
 @dataclass
 class FleetState:
+    """Vehicles and coverage of a solution under construction.
+
+    Coverage is one open flag per position in `inst.required`, so equal
+    copies of an edge close together and each stays listed while open.
+    """
+
+    inst: Instance
     vehicles: list[VehicleState]
-    uncovered: list[RequiredEdge]
+    is_open: list[bool]
+    remaining: int
     queues: TripQueues | None = None
+
+    @property
+    def uncovered(self) -> list[RequiredEdge]:
+        """Open required edges, in `inst.required` order."""
+        return [e for e, is_open in zip(self.inst.required, self.is_open) if is_open]
+
+    def copy(self) -> FleetState:
+        """Copy of the vehicles and the coverage, without trip queues."""
+        vehicles = [replace(v, trips=list(v.trips)) for v in self.vehicles]
+        return FleetState(self.inst, vehicles, list(self.is_open), self.remaining)
 
     def next_vehicle(self, candidates=None) -> int | None:
         """Feasible vehicle with minimum availability time, ties by index.
@@ -126,14 +158,12 @@ class FleetState:
         veh.available += trip.duration
         veh.location = trip.nodes[-1]
         veh.trips.append(trip)
-        if trip.covered:
-            covered = set(trip.covered)
-            self.uncovered = [e for e in self.uncovered if e not in covered]
-            if self.queues is not None:
-                self.queues.close(covered)
-            for v in self.vehicles:
-                if v.target in covered:
-                    v.target = None
+        positions, is_open = self.inst.required_positions, self.is_open
+        for e in trip.covered:
+            for pos in positions[e]:
+                if is_open[pos]:
+                    is_open[pos] = False
+                    self.remaining -= 1
 
     def solution(self, recharge_time: float) -> Solution:
         routes = tuple(Route(k, tuple(v.trips)) for k, v in enumerate(self.vehicles))
@@ -143,7 +173,7 @@ class FleetState:
 
 def initial_fleet_state(inst: Instance) -> FleetState:
     vehicles = [VehicleState(location=inst.start_depot(k)) for k in range(inst.vehicles)]
-    return FleetState(vehicles=vehicles, uncovered=list(inst.required))
+    return FleetState(inst, vehicles, [True] * len(inst.required), len(inst.required))
 
 
 def select_next_vehicle(state: FleetState) -> int | None:
@@ -168,8 +198,8 @@ def closest_feasible_edge(inst: Instance, state: FleetState, k: int,
     """
     queues = state.queues
     if queues is None:
-        queues = TripQueues(inst, tables or DistanceTables(inst.graph, inst.depots))
-        queues.close(set(inst.required).difference(state.uncovered))
+        queues = TripQueues(inst, tables or DistanceTables(inst.graph, inst.depots),
+                            state.is_open)
     location = state.vehicles[k].location
     top = queues.cheapest(location)
     if top is None:
@@ -221,12 +251,12 @@ def solve_multitrip(inst: Instance) -> Solution:
     """Run the constructive heuristic; partial coverage yields a partial Solution."""
     tables = DistanceTables(inst.graph, inst.depots)
     state = initial_fleet_state(inst)
-    state.queues = TripQueues(inst, tables)
+    state.queues = TripQueues(inst, tables, state.is_open)
     # termination is guaranteed by the strictly-closer depot rule; the guard
     # only turns a latent bug into a loud failure
     guard = 1000 + 50 * inst.vehicles * max(1, len(inst.required)) * (len(inst.depots) + 1)
     iterations = 0
-    while state.uncovered:
+    while state.remaining:
         k = state.next_vehicle()
         if k is None:
             break
@@ -238,9 +268,9 @@ def solve_multitrip(inst: Instance) -> Solution:
             state.commit(k, hit[1], inst.recharge_time)
             continue
         veh = state.vehicles[k]
-        if veh.target is None or veh.target not in state.uncovered:
+        if veh.target is None or not state.is_open[veh.target]:
             veh.target = _closest_uncovered(state, k, tables)
-        move = closest_feasible_depot(inst, state, k, veh.target, tables)
+        move = closest_feasible_depot(inst, state, k, inst.required[veh.target], tables)
         if move is None:
             veh.infeasible = True
             continue
@@ -260,10 +290,9 @@ def solve_multitrip(inst: Instance) -> Solution:
     return state.solution(inst.recharge_time)
 
 
-def _closest_uncovered(state: FleetState, k: int, tables: DistanceTables) -> RequiredEdge:
+def _closest_uncovered(state: FleetState, k: int, tables: DistanceTables) -> int:
+    """Position of the open edge nearest vehicle k, ties by position."""
     costs = tables.row(state.vehicles[k].location)[0]
-    best = min(
-        (_edge_distance(costs, e), idx)
-        for idx, e in enumerate(state.uncovered)
-    )
-    return state.uncovered[best[1]]
+    return min((_edge_distance(costs, e), pos)
+               for pos, (e, is_open) in enumerate(zip(state.inst.required, state.is_open))
+               if is_open)[1]

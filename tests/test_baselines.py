@@ -184,6 +184,7 @@ def test_outputs_are_pinned_on_corpus(alg):
 PINNED_SCALED_MT = {
     (461, 879, 1, "B"): "9662dbe545d8045a",
     (230, 440, 1, "A"): "6adaefa70c7fd9e2",
+    (922, 1758, 1, "B"): "bf78dd0b07ce9e27",
 }
 
 
@@ -195,3 +196,13 @@ def test_mt_output_is_pinned_on_scaled_instances(spec):
     inst = generate_instance(base, GenSpec(nodes, edges, seed, set_kind=kind))
     text = write_solution(inst, solve_multitrip(inst))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == PINNED_SCALED_MT[spec]
+
+
+def test_cs_output_is_pinned_where_trial_copies_revive_vehicles():
+    # construct_strike revives retired vehicles on each criterion's copy of
+    # the fleet; on this instance that decides the output
+    inst = tiny_corpus(1, offset=169)[0]
+    assert inst.name == "C-n6-e8-s169"
+    res = construct_strike(inst)
+    text = write_solution(inst, res.outcome) if res.solved else res.reason
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "4d07d9b209e274ea"

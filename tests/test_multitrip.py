@@ -1,6 +1,7 @@
 """Constructive multi-trip heuristic: fixtures, tie-breaks, subroutine oracles."""
 
 import itertools
+import random
 
 import pytest
 
@@ -136,7 +137,7 @@ def test_closest_feasible_edge_matches_enumeration_mid_solve():
     for inst in tiny_corpus(60):
         tables = DistanceTables(inst.graph, inst.depots)
         state = initial_fleet_state(inst)
-        state.queues = TripQueues(inst, tables)
+        state.queues = TripQueues(inst, tables, state.is_open)
         while state.uncovered:
             k = select_next_vehicle(state)
             if k is None:
@@ -245,3 +246,87 @@ def test_partial_result_when_vehicle_cannot_reach_edge():
     sol = solve_multitrip(inst)
     assert not sol.complete
     assert sol.uncovered == (RequiredEdge(2, 3),)
+
+
+def test_equal_required_edges_close_together_and_stay_listed():
+    from mdrpp import Instance, WeightedGraph
+
+    # (2, 3) lies on an island that no vehicle can reach
+    g = WeightedGraph(4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0)])
+    dup, island = RequiredEdge(0, 1), RequiredEdge(2, 3)
+    inst = Instance(graph=g, depots=(0,), required=(dup, island, dup),
+                    vehicles=1, capacity=10.0, recharge_time=1.0, start_depots=(0,))
+    state = initial_fleet_state(inst)
+    assert state.uncovered == [dup, island, dup]
+    trial = state.copy()
+    edge, trip = closest_feasible_edge(inst, trial, 0)
+    assert edge == dup
+    trial.commit(0, trip, inst.recharge_time)
+    assert trial.uncovered == [island]
+    assert trial.remaining == 1
+    # the copy's commit leaves the original untouched
+    assert state.uncovered == [dup, island, dup]
+    assert state.remaining == 3
+    assert state.vehicles[0].trips == []
+
+    inst = Instance(graph=g, depots=(0,), required=(island, dup, island),
+                    vehicles=1, capacity=10.0, recharge_time=1.0, start_depots=(0,))
+    sol = solve_multitrip(inst)
+    assert sol.uncovered == (island, island)
+
+
+def _integer_instance(seed):
+    """Seeded instance with integer weights, some of them zero, and an integer
+    capacity, so that equal trip durations and trips of exactly the capacity
+    are common."""
+    from mdrpp import Instance, random_connected_graph
+
+    rng = random.Random(seed)
+    n = rng.randint(5, 14)
+    g = random_connected_graph(n, rng.randint(n, 2 * n), seed, min_weight=0, max_weight=3)
+    pairs = sorted({(a.frm, a.to) for a in g.arcs})
+    required = []
+    for _ in range(rng.randint(2, 8)):
+        frm, to = rng.choice(pairs)
+        required.append(RequiredEdge(frm, to, directed=rng.random() < 0.3))
+    depots = tuple(sorted(rng.sample(range(n), rng.randint(1, 3))))
+    vehicles = rng.randint(1, 3)
+    return Instance(graph=g, depots=depots, required=tuple(required), vehicles=vehicles,
+                    capacity=float(rng.randint(3, 9)), recharge_time=1.0,
+                    start_depots=tuple(rng.choice(depots) for _ in range(vehicles)))
+
+
+def test_closest_feasible_edge_matches_enumeration_with_equal_durations():
+    # durations are sums of integers, so they are exact and ties are decided
+    # by the position in the uncovered list alone
+    checked = ties = 0
+    for seed in range(60):
+        inst = _integer_instance(seed)
+        tables = DistanceTables(inst.graph, inst.depots)
+        state = initial_fleet_state(inst)
+        state.queues = TripQueues(inst, tables, state.is_open)
+        while state.remaining:
+            k = select_next_vehicle(state)
+            if k is None:
+                break
+            uncovered = state.uncovered
+            expected = enumerate_best_trip(inst, state.vehicles[k].location, uncovered)
+            got = closest_feasible_edge(inst, state, k, tables)
+            if got is None:
+                assert expected is None
+                move = closest_feasible_depot(inst, state, k, uncovered[0], tables)
+                if move is None:
+                    state.vehicles[k].infeasible = True
+                else:
+                    state.commit(k, move[1], inst.recharge_time)
+                continue
+            edge, trip = got
+            assert trip.duration == expected[0]
+            assert edge == uncovered[expected[1]]
+            rest = uncovered[:expected[1]] + uncovered[expected[1] + 1:]
+            runner_up = enumerate_best_trip(inst, state.vehicles[k].location, rest)
+            ties += runner_up is not None and runner_up[0] == expected[0]
+            state.commit(k, trip, inst.recharge_time)
+            checked += 1
+    assert checked >= 100
+    assert ties >= 20
