@@ -8,6 +8,7 @@ Unsolved value, never an exception.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .graph import Arc, DistanceTables, WeightedGraph, _lex_dijkstra, path_from_parents
@@ -43,52 +44,71 @@ def _splice(nodes: tuple[int, ...], artificial: dict[tuple[int, int], tuple[int,
     return tuple(out)
 
 
-def _criterion_key(criterion: int, deadhead: float, serve: float, ret: float,
-                   idx: int, orient: int):
-    # 0: nearest edge, 1/2: max/min distance back to a depot,
-    # 3/4: max/min remaining-capacity fraction after serving
-    if criterion == 0:
-        return (deadhead, idx, orient)
-    if criterion == 1:
-        return (-ret, idx, orient)
-    if criterion == 2:
-        return (ret, idx, orient)
-    if criterion == 3:
-        return (serve, idx, orient)
-    return (-serve, idx, orient)
+def _candidates(tables: DistanceTables, inst: Instance) -> list[tuple]:
+    """(position, tail, head, w, to_depot_cost[head]) of every orientation of a
+    required edge that the graph of `tables` can serve, in (position,
+    orientation) order."""
+    out = []
+    min_weight, to_depot = tables.graph.min_weight, tables.to_depot_cost
+    for pos, e in enumerate(inst.required):
+        for tail, head in e.orientations():
+            w = min_weight(tail, head)
+            if w is not None:
+                out.append((pos, tail, head, w, to_depot[head]))
+    return out
 
 
-def _build_trip(tables: DistanceTables, inst: Instance, start: int, uncovered,
-                criterion: int, artificial) -> Trip | None:
-    """One capacity-feasible trip from `start` greedily chaining required edges."""
+def _build_trip(tables: DistanceTables, candidates, inst: Instance, start: int,
+                is_open: list[bool], criterion: int, artificial) -> Trip | None:
+    """One capacity-feasible trip from `start` greedily chaining open required
+    edges; `is_open` (one flag per position in `inst.required`) is not changed.
+
+    Criterion 0 picks the nearest edge, 1/2 the largest/smallest distance back
+    to a depot, 3/4 the smallest/largest capacity used after serving.  Ties go
+    to the first candidate, so by (position, orientation).
+    """
+    is_open = list(is_open)
+    positions = inst.required_positions
+    limit = inst.capacity + EPS
     cur = start
     used = 0.0
     walk: tuple[int, ...] = (start,)
     while True:
-        costs, parents = tables.row(cur)
-        best = None
-        for idx, e in enumerate(uncovered):
-            for orient, (tail, head) in enumerate(e.orientations()):
-                w = tables.graph.min_weight(tail, head)
-                if w is None:
-                    continue
-                deadhead = costs[tail]
-                ret = tables.to_depot_cost[head]
-                total = used + deadhead + w + ret
-                if total > inst.capacity + EPS:
-                    continue
-                key = _criterion_key(criterion, deadhead, deadhead + w, ret, idx, orient)
-                if best is None or key < best[0]:
-                    best = (key, tail, head, deadhead + w)
+        # a tail the run has not settled costs more than this bound, so it
+        # fails the capacity test below with its tentative cost as with its
+        # true one; the tail picked is settled and its parents are final
+        run = tables.run(cur, limit - used + EPS)
+        costs = run.costs
+        best, best_key = None, math.inf
+        for pos, tail, head, w, ret in candidates:
+            if not is_open[pos]:
+                continue
+            deadhead = costs[tail]
+            if used + deadhead + w + ret > limit:
+                continue
+            if criterion == 0:
+                key = deadhead
+            elif criterion == 1:
+                key = -ret
+            elif criterion == 2:
+                key = ret
+            elif criterion == 3:
+                key = deadhead + w
+            else:
+                key = -(deadhead + w)
+            if key < best_key:
+                best, best_key = (tail, head, deadhead + w), key
         if best is None:
             break
-        _, tail, head, serve = best
-        walk = walk + path_from_parents(parents, cur, tail)[1:] + (head,)
+        tail, head, serve = best
+        leg = path_from_parents(run.parents, cur, tail) + (head,)
+        walk = walk + leg[1:]
         used += serve
         cur = head
-        # drop everything the walk has touched so far
-        touched = covered_by_walk(inst, walk)
-        uncovered = [e for e in uncovered if e not in touched]
+        # the legs share their end nodes, so together they cover what the walk does
+        for e in covered_by_walk(inst, leg):
+            for pos in positions[e]:
+                is_open[pos] = False
     if cur == start and len(walk) == 1:
         return None
     walk = walk + tables.return_walk(cur)[1:]
@@ -98,13 +118,14 @@ def _build_trip(tables: DistanceTables, inst: Instance, start: int, uncovered,
                 covered=tuple(sorted(covered_by_walk(inst, real))))
 
 
-def _scan_full(tables: DistanceTables, inst: Instance, state: FleetState, criterion: int,
-               artificial) -> None:
+def _scan_full(tables: DistanceTables, candidates, inst: Instance, state: FleetState,
+               criterion: int, artificial) -> None:
     """Run path scanning until no vehicle can add a covering trip.
 
     Mutates state; a vehicle that cannot add one is marked infeasible.
     """
     budget = 10 * max(1, len(inst.required)) + len(state.vehicles)
+    positions, is_open = inst.required_positions, state.is_open
     steps = 0
     while state.remaining and steps < budget:
         steps += 1
@@ -112,9 +133,11 @@ def _scan_full(tables: DistanceTables, inst: Instance, state: FleetState, criter
         if k is None:
             break
         veh = state.vehicles[k]
-        uncovered = state.uncovered
-        trip = _build_trip(tables, inst, veh.location, uncovered, criterion, artificial)
-        if trip is None or not any(e in trip.covered for e in uncovered):
+        trip = _build_trip(tables, candidates, inst, veh.location, is_open, criterion,
+                           artificial)
+        # a leg over an artificial arc is spliced back into a real path, which
+        # need not cross the edge it stood for
+        if trip is None or not any(is_open[pos] for e in trip.covered for pos in positions[e]):
             veh.infeasible = True
             continue
         state.commit(k, trip, inst.recharge_time)
@@ -123,10 +146,11 @@ def _scan_full(tables: DistanceTables, inst: Instance, state: FleetState, criter
 def path_scanning(inst: Instance) -> BaselineResult:
     """Run all five scanning criteria; keep the lowest-makespan complete result."""
     tables = DistanceTables(inst.graph, inst.start_depots)
+    candidates = _candidates(tables, inst)
     best: tuple[float, int, Solution] | None = None
     for criterion in range(CRITERIA):
         state = initial_fleet_state(inst)
-        _scan_full(tables, inst, state, criterion, {})
+        _scan_full(tables, candidates, inst, state, criterion, {})
         if state.remaining:
             continue
         sol = state.solution(inst.recharge_time)
@@ -230,12 +254,13 @@ def construct_strike(inst: Instance) -> BaselineResult:
         # all five criteria scan the same residual graph
         residual = WeightedGraph(node_count, residual_arcs, symmetric=False)
         tables = DistanceTables(residual, inst.start_depots)
+        candidates = _candidates(tables, inst)
         best = None
         for criterion in range(CRITERIA):
             trial = state.copy()
             for v in trial.vehicles:
                 v.infeasible = False
-            _scan_full(tables, inst, trial, criterion, artificial)
+            _scan_full(tables, candidates, inst, trial, criterion, artificial)
             progress = state.remaining - trial.remaining
             if progress == 0:
                 continue

@@ -252,16 +252,20 @@ def solve_multitrip(inst: Instance) -> Solution:
     tables = DistanceTables(inst.graph, inst.depots)
     state = initial_fleet_state(inst)
     state.queues = TripQueues(inst, tables, state.is_open)
-    # termination is guaranteed by the strictly-closer depot rule; the guard
-    # only turns a latent bug into a loud failure
-    guard = 1000 + 50 * inst.vehicles * max(1, len(inst.required)) * (len(inst.depots) + 1)
-    iterations = 0
+    # every covering trip closes an edge, and a vehicle's target changes only
+    # when an edge closes; so between two closings each vehicle makes at most
+    # |D| strictly-closer hops and one retirement.  More dispatches in a row
+    # without a closing can only come from a bug, which the guard makes loud
+    stall_limit = inst.vehicles * (len(inst.depots) + 1)
+    remaining, stalled = state.remaining, 0
     while state.remaining:
         k = state.next_vehicle()
         if k is None:
             break
-        iterations += 1
-        if iterations > guard:
+        if state.remaining < remaining:
+            remaining, stalled = state.remaining, 0
+        stalled += 1
+        if stalled > stall_limit:
             raise RuntimeError("multi-trip heuristic failed to make progress")
         hit = closest_feasible_edge(inst, state, k, tables)
         if hit is not None:

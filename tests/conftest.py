@@ -1,4 +1,7 @@
-"""Shared fixtures: hand-built instances and a seeded tiny-instance corpus."""
+"""Shared fixtures: hand-built instances, a seeded tiny-instance corpus and
+seeded integer-weight instances."""
+
+import random
 
 import pytest
 
@@ -77,6 +80,25 @@ def tiny_corpus(count: int = 60, offset: int = 0):
             spec = GenSpec(n, m, seed, set_kind="A", max_edge_weight=6.0)
         out.append(generate_instance(base, spec))
     return out
+
+
+def integer_instance(seed: int) -> Instance:
+    """Seeded instance with integer weights, some of them zero, and an integer
+    capacity, so that equal trip durations and trips of exactly the capacity
+    are common."""
+    rng = random.Random(seed)
+    n = rng.randint(5, 14)
+    g = random_connected_graph(n, rng.randint(n, 2 * n), seed, min_weight=0, max_weight=3)
+    pairs = sorted({(a.frm, a.to) for a in g.arcs})
+    required = []
+    for _ in range(rng.randint(2, 8)):
+        frm, to = rng.choice(pairs)
+        required.append(RequiredEdge(frm, to, directed=rng.random() < 0.3))
+    depots = tuple(sorted(rng.sample(range(n), rng.randint(1, 3))))
+    vehicles = rng.randint(1, 3)
+    return Instance(graph=g, depots=depots, required=tuple(required), vehicles=vehicles,
+                    capacity=float(rng.randint(3, 9)), recharge_time=1.0,
+                    start_depots=tuple(rng.choice(depots) for _ in range(vehicles)))
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,12 @@
 """Comparison heuristics: path scanning, augment-merge, construct-strike."""
 
 import hashlib
+import math
 
 import pytest
 
 from mdrpp import (
+    BaselineResult,
     GenSpec,
     Instance,
     RequiredEdge,
@@ -18,8 +20,12 @@ from mdrpp import (
     solve_multitrip,
     write_solution,
 )
+from mdrpp import baselines
+from mdrpp.graph import DistanceTables, path_from_parents
+from mdrpp.solution import EPS, Trip, covered_by_walk
 
 from conftest import (
+    integer_instance,
     tiny_corpus,
     trivial_instance,
     two_vehicle_instance,
@@ -135,8 +141,24 @@ def test_construct_strike_artificial_edges_are_spliced():
         assert check_feasibility(inst, res.outcome) == []
 
 
-# sha256 (first 16 hex digits) of each solver's output on tiny_corpus(20):
-# the write_solution text, or the Unsolved reason
+def _digest(inst, result) -> str:
+    """sha256 (first 16 hex digits) of a solver's output: the write_solution
+    text of a Solution or solved BaselineResult, or the Unsolved reason."""
+    if isinstance(result, BaselineResult):
+        text = write_solution(inst, result.outcome) if result.solved else result.reason
+    else:
+        text = write_solution(inst, result)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _scaled_instance(nodes, edges, seed, kind):
+    """Scaled instance built as the benchmark builds it."""
+    base = random_connected_graph(nodes, edges, seed, integer_weights=False,
+                                  min_weight=0.5, max_weight=3.0)
+    return generate_instance(base, GenSpec(nodes, edges, seed, set_kind=kind))
+
+
+# _digest of each solver's output on tiny_corpus(20)
 PINNED_OUTPUTS = {
     "mt": """
         c7248ff6ba71d65d 7e3214752ba91c0a f04cfef827ba4e7a 4393c032ec4bd753
@@ -167,20 +189,15 @@ PINNED_OUTPUTS = {
 
 @pytest.mark.parametrize("alg", sorted(PINNED_OUTPUTS))
 def test_outputs_are_pinned_on_corpus(alg):
-    got = []
-    for inst in tiny_corpus(20):
-        if alg == "mt":
-            text = write_solution(inst, solve_multitrip(inst))
-        else:
-            res = {"ps": path_scanning, "am": augment_merge, "cs": construct_strike}[alg](inst)
-            text = write_solution(inst, res.outcome) if res.solved else res.reason
-        got.append(hashlib.sha256(text.encode()).hexdigest()[:16])
+    solver = {"mt": solve_multitrip, "ps": path_scanning, "am": augment_merge,
+              "cs": construct_strike}[alg]
+    got = [_digest(inst, solver(inst)) for inst in tiny_corpus(20)]
     assert got == PINNED_OUTPUTS[alg].split()
 
 
-# sha256 (first 16 hex digits) of the mt output on scaled instances, built as
-# the benchmark builds them: (nodes, edges, seed, set kind) -> digest.  The
-# set-A instance repositions vehicles and ends with a partial solution.
+# _digest of the mt output on scaled instances: (nodes, edges, seed, set kind)
+# -> digest.  The set-A instance repositions vehicles and ends with a partial
+# solution.
 PINNED_SCALED_MT = {
     (461, 879, 1, "B"): "9662dbe545d8045a",
     (230, 440, 1, "A"): "6adaefa70c7fd9e2",
@@ -190,12 +207,8 @@ PINNED_SCALED_MT = {
 
 @pytest.mark.parametrize("spec", sorted(PINNED_SCALED_MT), ids=str)
 def test_mt_output_is_pinned_on_scaled_instances(spec):
-    nodes, edges, seed, kind = spec
-    base = random_connected_graph(nodes, edges, seed, integer_weights=False,
-                                  min_weight=0.5, max_weight=3.0)
-    inst = generate_instance(base, GenSpec(nodes, edges, seed, set_kind=kind))
-    text = write_solution(inst, solve_multitrip(inst))
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == PINNED_SCALED_MT[spec]
+    inst = _scaled_instance(*spec)
+    assert _digest(inst, solve_multitrip(inst)) == PINNED_SCALED_MT[spec]
 
 
 def test_cs_output_is_pinned_where_trial_copies_revive_vehicles():
@@ -203,6 +216,116 @@ def test_cs_output_is_pinned_where_trial_copies_revive_vehicles():
     # the fleet; on this instance that decides the output
     inst = tiny_corpus(1, offset=169)[0]
     assert inst.name == "C-n6-e8-s169"
-    res = construct_strike(inst)
-    text = write_solution(inst, res.outcome) if res.solved else res.reason
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "4d07d9b209e274ea"
+    assert _digest(inst, construct_strike(inst)) == "4d07d9b209e274ea"
+
+
+# _digest of the ps, am and cs outputs on the seed-1 230-node instances, by set
+# kind.  On set A, every ps criterion leaves edges uncovered, am finds an edge
+# out of reach and cs reports that striking made no progress.
+PINNED_SCALED_BASELINES = {
+    "A": {"ps": "0acf9e30079f6a94", "am": "9e27efbff22bb259", "cs": "ee54ed324962cd3c"},
+    "B": {"ps": "360e04ef26cd9b95", "am": "268f2e4032d14b76", "cs": "360e04ef26cd9b95"},
+    "C": {"ps": "b841eddc8d677d93", "am": "ad46f4949b2b2f59", "cs": "b841eddc8d677d93"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_SCALED_BASELINES))
+def test_baselines_output_is_pinned_on_scaled_instances(kind):
+    inst = _scaled_instance(230, 440, 1, kind)
+    got = {alg: _digest(inst, solver(inst))
+           for alg, solver in (("ps", path_scanning), ("am", augment_merge),
+                               ("cs", construct_strike))}
+    assert got == PINNED_SCALED_BASELINES[kind]
+
+
+def _reference_trip(tables, inst, start, uncovered, criterion, artificial, seen):
+    """Brute-force trip builder: complete Dijkstra rows, coverage of the whole
+    walk so far and a filtered list of uncovered edges.  Counts in `seen` the
+    steps whose best key is shared by another candidate, and those whose leg
+    and return fill the capacity exactly."""
+    cur = start
+    used = 0.0
+    walk = (start,)
+    while True:
+        costs, parents = tables.row(cur)
+        options = []
+        for idx, e in enumerate(uncovered):
+            for orient, (tail, head) in enumerate(e.orientations()):
+                w = tables.graph.min_weight(tail, head)
+                if w is None:
+                    continue
+                deadhead = costs[tail]
+                ret = tables.to_depot_cost[head]
+                total = used + deadhead + w + ret
+                if total > inst.capacity + EPS:
+                    continue
+                key = (deadhead, -ret, ret, deadhead + w, -(deadhead + w))[criterion]
+                options.append(((key, idx, orient), tail, head, deadhead + w, total))
+        if not options:
+            break
+        best = min(options)
+        seen["ties"] += sum(o[0][0] == best[0][0] for o in options) > 1
+        seen["at_capacity"] += best[4] == inst.capacity
+        _, tail, head, serve, _ = best
+        walk = walk + path_from_parents(parents, cur, tail)[1:] + (head,)
+        used += serve
+        cur = head
+        touched = covered_by_walk(inst, walk)
+        uncovered = [e for e in uncovered if e not in touched]
+    if cur == start and len(walk) == 1:
+        return None
+    walk = walk + tables.return_walk(cur)[1:]
+    duration = used + tables.to_depot_cost[cur]
+    real = baselines._splice(walk, artificial)
+    return Trip(nodes=real, duration=duration,
+                covered=tuple(sorted(covered_by_walk(inst, real))))
+
+
+def test_build_trip_matches_brute_force_reference(monkeypatch):
+    # every trip that ps and cs build, mid-solve and for all five criteria,
+    # equals the brute-force one; the reference gets its own tables, so the
+    # builder's capacity-bounded runs are resumed only by the builder
+    build_trip = baselines._build_trip
+    reference_tables = {}
+    seen = {"trips": 0, "ties": 0, "at_capacity": 0}
+
+    def checked(tables, candidates, inst, start, is_open, criterion, artificial):
+        before = list(is_open)
+        trip = build_trip(tables, candidates, inst, start, is_open, criterion, artificial)
+        assert is_open == before
+        if tables not in reference_tables:
+            reference_tables[tables] = DistanceTables(tables.graph, inst.start_depots)
+        uncovered = [e for e, flag in zip(inst.required, is_open) if flag]
+        assert trip == _reference_trip(reference_tables[tables], inst, start, uncovered,
+                                       criterion, artificial, seen)
+        seen["trips"] += trip is not None
+        return trip
+
+    monkeypatch.setattr(baselines, "_build_trip", checked)
+    for inst in [*tiny_corpus(60), *(integer_instance(seed) for seed in range(60))]:
+        path_scanning(inst)
+        construct_strike(inst)
+    # 1942 trips, 1196 steps with an equal best key, 544 filling the capacity
+    assert seen["trips"] >= 1500
+    assert seen["ties"] >= 800
+    assert seen["at_capacity"] >= 400
+
+
+def test_build_trip_keeps_a_trip_at_the_limit_up_to_rounding():
+    # after serving (0,1) the last tail, node 3, lies one ulp past
+    # limit - used, yet the trip passes the capacity test once summed; node 2
+    # lies as far and node 3 is reached through it by a zero-weight edge, so
+    # only the EPS margin of the run's bound gives node 3 its true cost
+    used = 0.25
+    limit = 1.0 + EPS
+    far = math.nextafter(limit - used, math.inf)
+    assert used + far <= limit
+    g = undirected_graph(5, [(0, 1, used), (1, 2, far), (2, 3, 0.0), (1, 3, 1.5),
+                             (3, 4, 0.0)])
+    inst = Instance(graph=g, depots=(0, 4), required=(RequiredEdge(0, 1), RequiredEdge(3, 4)),
+                    vehicles=2, capacity=1.0, recharge_time=1.0, start_depots=(0, 4))
+    tables = DistanceTables(inst.graph, inst.start_depots)
+    trip = baselines._build_trip(tables, baselines._candidates(tables, inst), inst, 0,
+                                 [True, True], 0, {})
+    assert trip.nodes == (0, 1, 2, 3, 4)
+    assert trip.covered == tuple(sorted(inst.required))

@@ -1,7 +1,6 @@
 """Constructive multi-trip heuristic: fixtures, tie-breaks, subroutine oracles."""
 
 import itertools
-import random
 
 import pytest
 
@@ -16,10 +15,12 @@ from mdrpp import (
     solve_multitrip,
 )
 from mdrpp.graph import DistanceTables, one_to_all
+from mdrpp import multitrip
 from mdrpp.multitrip import TripQueues
-from mdrpp.solution import walk_cost
+from mdrpp.solution import Trip, walk_cost
 
 from conftest import (
+    integer_instance,
     reposition_instance,
     tiny_corpus,
     trivial_instance,
@@ -275,33 +276,12 @@ def test_equal_required_edges_close_together_and_stay_listed():
     assert sol.uncovered == (island, island)
 
 
-def _integer_instance(seed):
-    """Seeded instance with integer weights, some of them zero, and an integer
-    capacity, so that equal trip durations and trips of exactly the capacity
-    are common."""
-    from mdrpp import Instance, random_connected_graph
-
-    rng = random.Random(seed)
-    n = rng.randint(5, 14)
-    g = random_connected_graph(n, rng.randint(n, 2 * n), seed, min_weight=0, max_weight=3)
-    pairs = sorted({(a.frm, a.to) for a in g.arcs})
-    required = []
-    for _ in range(rng.randint(2, 8)):
-        frm, to = rng.choice(pairs)
-        required.append(RequiredEdge(frm, to, directed=rng.random() < 0.3))
-    depots = tuple(sorted(rng.sample(range(n), rng.randint(1, 3))))
-    vehicles = rng.randint(1, 3)
-    return Instance(graph=g, depots=depots, required=tuple(required), vehicles=vehicles,
-                    capacity=float(rng.randint(3, 9)), recharge_time=1.0,
-                    start_depots=tuple(rng.choice(depots) for _ in range(vehicles)))
-
-
 def test_closest_feasible_edge_matches_enumeration_with_equal_durations():
     # durations are sums of integers, so they are exact and ties are decided
     # by the position in the uncovered list alone
     checked = ties = 0
     for seed in range(60):
-        inst = _integer_instance(seed)
+        inst = integer_instance(seed)
         tables = DistanceTables(inst.graph, inst.depots)
         state = initial_fleet_state(inst)
         state.queues = TripQueues(inst, tables, state.is_open)
@@ -330,3 +310,22 @@ def test_closest_feasible_edge_matches_enumeration_with_equal_durations():
             checked += 1
     assert checked >= 100
     assert ties >= 20
+
+
+def test_progress_guard_fires_within_the_stall_bound(monkeypatch):
+    # a dispatch that closes no edge, over and over: the guard must stop the
+    # solve after K·(|D|+1) such dispatches in a row, one call of slack
+    calls = 0
+
+    def covers_nothing(inst, state, k, tables=None):
+        nonlocal calls
+        calls += 1
+        location = state.vehicles[k].location
+        return inst.required[0], Trip(nodes=(location,), duration=1.0)
+
+    monkeypatch.setattr(multitrip, "closest_feasible_edge", covers_nothing)
+    for inst in (reposition_instance(), two_vehicle_instance(), *tiny_corpus(5)):
+        calls = 0
+        with pytest.raises(RuntimeError, match="failed to make progress"):
+            solve_multitrip(inst)
+        assert calls <= inst.vehicles * (len(inst.depots) + 1) + 1
