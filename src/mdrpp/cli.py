@@ -29,7 +29,6 @@ from .instance import (
 from .milp import ModelSizeError, build_model, write_lp, write_mps
 from .multitrip import solve_multitrip
 from .solution import (
-    Solution,
     check_feasibility,
     gap,
     parse_solution,

@@ -1,9 +1,12 @@
 """Exact min-max solver for tiny instances plus a brute-force cross-check.
 
-`solve_exact` runs depth-first branch and bound over assignments of required
-edges (with orientation and in-trip order) to vehicle trips, with optional
-repositioning hops between depots.  `enumerate_exhaustive` recomputes the
-optimum by plain enumeration and exists only to cross-check the search.
+`solve_exact` runs one depth-first branch and bound over vehicle trips, in
+vehicle order.  A trip is a repositioning hop between depots or covers an
+ordered, oriented subset of the required edges; the edges still uncovered
+are a bit mask.  Each depot's list of capacity-feasible trips is built once,
+on first use, and a search node tries those whose edges are all still
+uncovered.  `enumerate_exhaustive` recomputes the optimum by plain
+enumeration and exists only to cross-check the search.
 Neither scales; both are ground truth for heuristic gaps and MILP checks.
 """
 
@@ -55,19 +58,21 @@ class _TripPlan:
     duration: float
 
 
-def _trip_options(inst: Instance, dist, depot: int, uncovered: tuple[RequiredEdge, ...],
+def _trip_options(inst: Instance, dist, depot: int, required: tuple[RequiredEdge, ...],
                   max_edges: int):
-    """All capacity-feasible trips from `depot`: repositioning hops and
-    covering trips over ordered subsets of uncovered edges."""
-    options: list[tuple[_TripPlan, frozenset]] = []
+    """All capacity-feasible trips from `depot`, each with the bit mask of the
+    required edges it covers: repositioning hops (mask 0) first, then covering
+    trips over ordered subsets of `required`, by size, in lexicographic order."""
+    options: list[tuple[_TripPlan, int]] = []
     cap = inst.capacity + EPS
     for d in inst.depots:
         if d != depot and dist[depot][d] <= cap:
-            options.append((_TripPlan((), d, dist[depot][d]), frozenset()))
-    indices = range(len(uncovered))
-    for size in range(1, min(max_edges, len(uncovered)) + 1):
+            options.append((_TripPlan((), d, dist[depot][d]), 0))
+    indices = range(len(required))
+    for size in range(1, min(max_edges, len(required)) + 1):
         for combo in itertools.permutations(indices, size):
-            edges = [uncovered[i] for i in combo]
+            edges = [required[i] for i in combo]
+            mask = sum(1 << i for i in combo)
             for orients in itertools.product(*[e.orientations() for e in edges]):
                 run = 0.0
                 pos = depot
@@ -83,9 +88,7 @@ def _trip_options(inst: Instance, dist, depot: int, uncovered: tuple[RequiredEdg
                 for d in inst.depots:
                     total = run + dist[pos][d]
                     if total <= cap:
-                        options.append(
-                            (_TripPlan(tuple(orients), d, total),
-                             frozenset(combo)))
+                        options.append((_TripPlan(tuple(orients), d, total), mask))
     return options
 
 
@@ -105,76 +108,49 @@ def solve_exact(inst: Instance, f_cap: int = 3, time_budget: float = 60.0,
     required = tuple(dict.fromkeys(inst.required))
     if max_edges_per_trip is None:
         max_edges_per_trip = min(len(required), 3) or 1
-    edge_bound = {e: _cheapest_single_trip(inst, dist, e) for e in required}
+    edge_bound = [_cheapest_single_trip(inst, dist, e) for e in required]
     deadline = time.monotonic() + time_budget
+    options: dict[int, list[tuple[_TripPlan, int]]] = {}
 
     best_plan: list[list[_TripPlan]] | None = None
     best_value = float("inf")
     complete = True
+    done: list[tuple[_TripPlan, ...]] = []  # trips of vehicles 0..k
+    times: list[float] = []  # their route times
 
-    n_veh = inst.vehicles
-    rt = inst.recharge_time
-
-    def vehicle_time(trips: list[_TripPlan]) -> float:
-        return route_time([t.duration for t in trips], rt)
-
-    def bound(times: list[float], uncovered: tuple[RequiredEdge, ...]) -> float:
-        lb = max(times) if times else 0.0
-        for e in uncovered:
-            lb = max(lb, edge_bound[e])
-        return lb
-
-    def dfs(k: int, uncovered: tuple[RequiredEdge, ...],
-            plans: list[list[_TripPlan]], times: list[float]) -> None:
+    def search(k: int, depot: int, trips: tuple[_TripPlan, ...], remaining: int) -> None:
+        """Vehicle k, at `depot` after `trips`, either stops and hands the
+        required edges in the `remaining` mask to vehicle k + 1, or takes one
+        more trip."""
         nonlocal best_plan, best_value, complete
         if time.monotonic() > deadline:
             complete = False
             return
-        if k == n_veh:
-            if not uncovered and max(times, default=0.0) < best_value - EPS:
-                best_value = max(times, default=0.0)
-                best_plan = [list(p) for p in plans]
+        t_here = route_time([t.duration for t in trips], inst.recharge_time)
+        # any remaining edge costs at least its cheapest covering trip,
+        # whichever vehicle ends up taking it
+        lb = max([t_here, *times,
+                  *(b for i, b in enumerate(edge_bound) if remaining >> i & 1)])
+        if lb >= best_value - EPS:
             return
-        if bound(times, uncovered) >= best_value - EPS:
+        done.append(trips)
+        times.append(t_here)
+        if k + 1 < inst.vehicles:
+            search(k + 1, inst.start_depot(k + 1), (), remaining)
+        elif not remaining:
+            best_value = lb
+            best_plan = [list(p) for p in done]
+        done.pop()
+        times.pop()
+        if len(trips) >= f_cap:
             return
+        if depot not in options:
+            options[depot] = _trip_options(inst, dist, depot, required, max_edges_per_trip)
+        for plan, mask in options[depot]:
+            if mask & remaining == mask:
+                search(k, plan.end_depot, trips + (plan,), remaining & ~mask)
 
-        def extend(depot: int, trips: list[_TripPlan],
-                   remaining: tuple[RequiredEdge, ...]) -> None:
-            nonlocal best_plan, best_value, complete
-            if time.monotonic() > deadline:
-                complete = False
-                return
-            t_here = vehicle_time(trips)
-            # any remaining edge costs at least its cheapest covering trip,
-            # whichever vehicle ends up taking it
-            lb = bound(times + [t_here], remaining)
-            if lb >= best_value - EPS:
-                return
-            # stop extending this vehicle; hand the rest to the next one
-            plans[k] = list(trips)
-            times.append(t_here)
-            dfs(k + 1, remaining, plans, times)
-            times.pop()
-            plans[k] = []
-            if len(trips) >= f_cap:
-                return
-            seen_repo = set()
-            for plan, combo in _trip_options(inst, dist, depot, remaining,
-                                             max_edges_per_trip):
-                if not combo:
-                    # skip zero-progress repositioning loops
-                    if plan.end_depot in seen_repo or plan.end_depot == depot:
-                        continue
-                    seen_repo.add(plan.end_depot)
-                if combo:
-                    nxt = tuple(e for i, e in enumerate(remaining) if i not in combo)
-                else:
-                    nxt = remaining
-                extend(plan.end_depot, trips + [plan], nxt)
-
-        extend(inst.start_depot(k), [], uncovered)
-
-    dfs(0, required, [[] for _ in range(n_veh)], [])
+    search(0, inst.start_depot(0), (), (1 << len(required)) - 1)
     if best_plan is None:
         return None
     return _materialize(inst, best_plan), complete
@@ -203,8 +179,10 @@ def enumerate_exhaustive(inst: Instance, f_cap: int = 3,
                          max_edges_per_trip: int | None = None) -> float | None:
     """Brute-force optimum over every assignment/order/orientation/route shape.
 
-    Guarded to |E_u| <= 5, K <= 2, f_cap <= 3; returns None when infeasible.
+    Guarded to |E_u| <= 5, K <= 2, 1 <= f_cap <= 3; returns None when infeasible.
     """
+    if f_cap < 1:
+        raise OracleSizeError("f_cap must be positive")
     required = tuple(dict.fromkeys(inst.required))
     if len(required) > 5 or inst.vehicles > 2 or f_cap > 3:
         raise OracleSizeError("exhaustive enumeration guard exceeded "

@@ -6,7 +6,7 @@ import functools
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import Arc, WeightedGraph, is_connected
 
@@ -28,9 +28,6 @@ class RequiredEdge:
     frm: int
     to: int
     directed: bool = False
-
-    def endpoints(self) -> tuple[int, int]:
-        return self.frm, self.to
 
     def orientations(self) -> list[tuple[int, int]]:
         """(tail, head) pairs that serve the edge; the index is a tie-break key."""

@@ -11,14 +11,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .instance import Instance, RequiredEdge, add_dummy_nodes
+from .instance import Instance, add_dummy_nodes
 from .solution import (
     Route,
     Solution,
     Trip,
     covered_by_walk,
     route_time,
-    walk_cost,
     worst_route_time,
 )
 
@@ -83,11 +82,6 @@ class MilpModel:
     num_trips: int
     var_index: list[VarIndex] = field(default_factory=list)
     arcs: list[tuple[int, int, float]] = field(default_factory=list)
-
-    def column_id(self, name: str) -> int:
-        if not hasattr(self, "_by_name"):
-            self._by_name = {c.name: i for i, c in enumerate(self.columns)}
-        return self._by_name[name]
 
 
 def _canonical_arcs(inst: Instance) -> list[tuple[int, int, float]]:

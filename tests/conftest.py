@@ -1,17 +1,20 @@
-"""Shared fixtures: hand-built instances, a seeded tiny-instance corpus and
-seeded integer-weight instances."""
+"""Shared fixtures: hand-built instances, a seeded tiny-instance corpus,
+seeded integer-weight instances and a digest of solver outputs."""
 
+import hashlib
 import random
 
 import pytest
 
 from mdrpp import (
+    BaselineResult,
     GenSpec,
     Instance,
     RequiredEdge,
     WeightedGraph,
     generate_instance,
     random_connected_graph,
+    write_solution,
 )
 
 
@@ -99,6 +102,16 @@ def integer_instance(seed: int) -> Instance:
     return Instance(graph=g, depots=depots, required=tuple(required), vehicles=vehicles,
                     capacity=float(rng.randint(3, 9)), recharge_time=1.0,
                     start_depots=tuple(rng.choice(depots) for _ in range(vehicles)))
+
+
+def digest(inst, result) -> str:
+    """sha256 (first 16 hex digits) of a solver's output: the write_solution
+    text of a Solution or solved BaselineResult, or the Unsolved reason."""
+    if isinstance(result, BaselineResult):
+        text = write_solution(inst, result.outcome) if result.solved else result.reason
+    else:
+        text = write_solution(inst, result)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @pytest.fixture(scope="session")

@@ -31,7 +31,7 @@ from mdrpp import (
     write_mps,
 )
 from mdrpp.cli import main as cli_main
-from mdrpp.milp import SolveResult, count_columns, iterative_f_driver
+from mdrpp.milp import count_columns, iterative_f_driver
 
 from conftest import reposition_instance, tiny_corpus, trivial_instance
 from test_milp import (

@@ -1,12 +1,10 @@
 """Comparison heuristics: path scanning, augment-merge, construct-strike."""
 
-import hashlib
 import math
 
 import pytest
 
 from mdrpp import (
-    BaselineResult,
     GenSpec,
     Instance,
     RequiredEdge,
@@ -18,13 +16,13 @@ from mdrpp import (
     random_connected_graph,
     solve_exact,
     solve_multitrip,
-    write_solution,
 )
 from mdrpp import baselines
 from mdrpp.graph import DistanceTables, path_from_parents
 from mdrpp.solution import EPS, Trip, covered_by_walk
 
 from conftest import (
+    digest,
     integer_instance,
     tiny_corpus,
     trivial_instance,
@@ -141,16 +139,6 @@ def test_construct_strike_artificial_edges_are_spliced():
         assert check_feasibility(inst, res.outcome) == []
 
 
-def _digest(inst, result) -> str:
-    """sha256 (first 16 hex digits) of a solver's output: the write_solution
-    text of a Solution or solved BaselineResult, or the Unsolved reason."""
-    if isinstance(result, BaselineResult):
-        text = write_solution(inst, result.outcome) if result.solved else result.reason
-    else:
-        text = write_solution(inst, result)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
 def _scaled_instance(nodes, edges, seed, kind):
     """Scaled instance built as the benchmark builds it."""
     base = random_connected_graph(nodes, edges, seed, integer_weights=False,
@@ -158,7 +146,7 @@ def _scaled_instance(nodes, edges, seed, kind):
     return generate_instance(base, GenSpec(nodes, edges, seed, set_kind=kind))
 
 
-# _digest of each solver's output on tiny_corpus(20)
+# digest of each solver's output on tiny_corpus(20)
 PINNED_OUTPUTS = {
     "mt": """
         c7248ff6ba71d65d 7e3214752ba91c0a f04cfef827ba4e7a 4393c032ec4bd753
@@ -191,11 +179,11 @@ PINNED_OUTPUTS = {
 def test_outputs_are_pinned_on_corpus(alg):
     solver = {"mt": solve_multitrip, "ps": path_scanning, "am": augment_merge,
               "cs": construct_strike}[alg]
-    got = [_digest(inst, solver(inst)) for inst in tiny_corpus(20)]
+    got = [digest(inst, solver(inst)) for inst in tiny_corpus(20)]
     assert got == PINNED_OUTPUTS[alg].split()
 
 
-# _digest of the mt output on scaled instances: (nodes, edges, seed, set kind)
+# digest of the mt output on scaled instances: (nodes, edges, seed, set kind)
 # -> digest.  The set-A instance repositions vehicles and ends with a partial
 # solution.
 PINNED_SCALED_MT = {
@@ -208,7 +196,7 @@ PINNED_SCALED_MT = {
 @pytest.mark.parametrize("spec", sorted(PINNED_SCALED_MT), ids=str)
 def test_mt_output_is_pinned_on_scaled_instances(spec):
     inst = _scaled_instance(*spec)
-    assert _digest(inst, solve_multitrip(inst)) == PINNED_SCALED_MT[spec]
+    assert digest(inst, solve_multitrip(inst)) == PINNED_SCALED_MT[spec]
 
 
 def test_cs_output_is_pinned_where_trial_copies_revive_vehicles():
@@ -216,10 +204,10 @@ def test_cs_output_is_pinned_where_trial_copies_revive_vehicles():
     # the fleet; on this instance that decides the output
     inst = tiny_corpus(1, offset=169)[0]
     assert inst.name == "C-n6-e8-s169"
-    assert _digest(inst, construct_strike(inst)) == "4d07d9b209e274ea"
+    assert digest(inst, construct_strike(inst)) == "4d07d9b209e274ea"
 
 
-# _digest of the ps, am and cs outputs on the seed-1 230-node instances, by set
+# digest of the ps, am and cs outputs on the seed-1 230-node instances, by set
 # kind.  On set A, every ps criterion leaves edges uncovered, am finds an edge
 # out of reach and cs reports that striking made no progress.
 PINNED_SCALED_BASELINES = {
@@ -232,7 +220,7 @@ PINNED_SCALED_BASELINES = {
 @pytest.mark.parametrize("kind", sorted(PINNED_SCALED_BASELINES))
 def test_baselines_output_is_pinned_on_scaled_instances(kind):
     inst = _scaled_instance(230, 440, 1, kind)
-    got = {alg: _digest(inst, solver(inst))
+    got = {alg: digest(inst, solver(inst))
            for alg, solver in (("ps", path_scanning), ("am", augment_merge),
                                ("cs", construct_strike))}
     assert got == PINNED_SCALED_BASELINES[kind]

@@ -1,8 +1,6 @@
 """Command-line front end: verbs, exit codes, file side effects, CSV schema."""
 
 import csv
-import io
-import os
 
 import pytest
 

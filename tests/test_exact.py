@@ -14,9 +14,9 @@ from mdrpp import (
 )
 
 from conftest import (
+    digest,
     reposition_instance,
     tiny_corpus,
-    trivial_instance,
     two_vehicle_instance,
     undirected_graph,
 )
@@ -65,6 +65,63 @@ def test_exhaustive_equals_branch_and_bound_on_corpus():
             assert check_feasibility(inst, out[0]) == []
             agreements += 1
     assert agreements >= 25
+
+
+def _oracle_digest(inst) -> str:
+    """digest of solve_exact's solution with `+` when it is proven optimal and
+    `?` when not, or `none` when no plan exists."""
+    out = solve_exact(inst)
+    if out is None:
+        return "none"
+    sol, proven = out
+    return digest(inst, sol) + ("+" if proven else "?")
+
+
+# _oracle_digest on tiny_corpus(60), as given and after add_dummy_nodes
+PINNED_ORACLE = {
+    "plain": """
+        none 8a86264db5f8dcfe+ none none
+        80c65adca8229f81+ ce2d9db6e6d2a822+ none eb33529a359e64e4+
+        8952ef3cad7bc0b4+ 9859342c5451af07+ 8d31a77f66c57ddf+ 250d605856e11357+
+        b6b4f99d36b99aaa+ 1fdbe8d59f5c006b+ bbd440a7cbb2faa8+ none
+        c73a2b79a281a44a+ 28cb29e802a1724d+ none 087af2839d6851c0+
+        d2e8145b9f60d526+ none 9c9eea387a7b07d5+ c092ab3e04b86172+
+        b85fb7ec2016a139+ 752d0c260380060d+ b8201f620ee0d5f6+ none
+        c15f534559ff5919+ 7e53359d3513a9e3+ none 632cd0c0234f3a85+
+        5b092415a6f50144+ 007202bcf13b89f6+ adea25041025d40c+ 780139594aa064e5+
+        none 2d6e19b1649adebd+ db05d5d17f6d65ee+ none
+        08a8a875e6f86abf+ e57407400868ebb4+ none 5cac487f4d94f55f+
+        f2417415fa422dcc+ none 167216c4568705c0+ none
+        none 546c0577f47d9fd6+ 4a9606abcf5efeb0+ none
+        6bbd9f261069c64a+ 59eaf1409c986a92+ bafb0d1ddabc0001+ f9ef9fd28f8f99b2+
+        ea6e04eef291ced5+ none none eafded8cb9b5246e+""",
+    "dummy": """
+        none 679b182cc45f8b36+ none none
+        6bd1ac15cb05b34a+ 852aa430a0e3b067+ none 83e71fe78a04045e+
+        51be1bce5d01be34+ 30d20cbb0adbcebf+ 511581cc40d90e04+ a80beabfae200e2f+
+        6a6699357b35e934+ 2bb408595f00fc5b+ b508de42b717b6f1+ none
+        f5132d77b8f3f15e+ b80f8f68303e64c7+ none 87cd6b1718b33806+
+        5b287ee29e6c9071+ none 3dbbecb39ac908c5+ d4bb2a7d3f53de16+
+        b85fb7ec2016a139+ 752d0c260380060d+ 7283ead6d4109d23+ none
+        c15f534559ff5919+ 7e53359d3513a9e3+ none 7f5edca2d0eb4dd1+
+        0aef15d353c46c15+ 4798f92392af5dc2+ adea25041025d40c+ e02dc9fc18f65136+
+        none 8800c7cd601d272d+ a34daba136b99a4c+ none
+        ddf1b6c4675715fa+ 78e8949d4264276c+ none 079af0fbd9d02e0a+
+        9c494956109dc8c6+ none 7ae805016284839e+ none
+        none c41ac99caaf882dc+ cdee15b676339ba8+ none
+        7c52bbb25a26d700+ 7f7c7fe3a293fdc4+ 538fe548a5e0c09b+ 8f44819c17f09d0a+
+        a4f1df187c6ed67b+ none none 7deed19b77e97763+""",
+}
+
+
+@pytest.mark.parametrize("copy", sorted(PINNED_ORACLE))
+def test_oracle_output_is_pinned_on_corpus(copy):
+    # pins the chosen plan and its walks, not only the optimum: the search
+    # order decides among plans of equal makespan
+    insts = tiny_corpus(60)
+    if copy == "dummy":
+        insts = [add_dummy_nodes(inst)[0] for inst in insts]
+    assert [_oracle_digest(inst) for inst in insts] == PINNED_ORACLE[copy].split()
 
 
 def test_objective_scales_with_weights():
@@ -124,8 +181,9 @@ def test_infeasible_returns_none():
 
 def test_exhaustive_guard_raises():
     inst = two_vehicle_instance()
-    with pytest.raises(OracleSizeError):
-        enumerate_exhaustive(inst, f_cap=4)
+    for f_cap in (-1, 0, 4):
+        with pytest.raises(OracleSizeError):
+            enumerate_exhaustive(inst, f_cap=f_cap)
     with pytest.raises(OracleSizeError):
         solve_exact(inst, f_cap=0)
 

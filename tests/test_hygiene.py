@@ -1,0 +1,33 @@
+"""Source hygiene checks that need only the standard library."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mdrpp"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by module-level imports that the module never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_unused_imports_are_detected():
+    source = "import os\nimport sys\nfrom a.b import c, d as e\nprint(sys, e)\n"
+    assert unused_imports(source) == ["line 1: os", "line 3: c"]
+
+
+def test_no_unused_module_level_imports():
+    # __init__.py is skipped: its imports are the package's re-exports
+    found = {path.name: unused_imports(path.read_text())
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: names for name, names in found.items() if names} == {}

@@ -1,7 +1,5 @@
 """Constructive multi-trip heuristic: fixtures, tie-breaks, subroutine oracles."""
 
-import itertools
-
 import pytest
 
 from mdrpp import (
