@@ -34,7 +34,6 @@ from .multitrip import (
     closest_feasible_depot,
     closest_feasible_edge,
     initial_fleet_state,
-    select_next_vehicle,
     solve_multitrip,
 )
 from .solution import (

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .graph import Arc, DistanceTables, WeightedGraph, _lex_dijkstra, path_from_parents
 from .instance import Instance
 from .multitrip import FleetState, initial_fleet_state
-from .solution import EPS, Solution, Trip, covered_by_walk
+from .solution import EPS, Solution, Trip, covered_by_walk, trip_from_walk
 
 CRITERIA = 5
 
@@ -114,8 +114,7 @@ def _build_trip(tables: DistanceTables, candidates, inst: Instance, start: int,
     walk = walk + tables.return_walk(cur)[1:]
     duration = used + tables.to_depot_cost[cur]
     real = _splice(walk, artificial)
-    return Trip(nodes=real, duration=duration,
-                covered=tuple(sorted(covered_by_walk(inst, real))))
+    return trip_from_walk(inst, real, duration)
 
 
 def _scan_full(tables: DistanceTables, candidates, inst: Instance, state: FleetState,
@@ -227,8 +226,7 @@ def augment_merge(inst: Instance) -> BaselineResult:
         for tail, head in legs:
             walk = walk + path_from_parents(tables.row(walk[-1])[1], walk[-1], tail)[1:] + (head,)
         walk = walk + path_from_parents(tables.row(walk[-1])[1], walk[-1], depot)[1:]
-        trip = Trip(nodes=walk, duration=cost,
-                    covered=tuple(sorted(covered_by_walk(inst, walk))))
+        trip = trip_from_walk(inst, walk, cost)
         state.commit(state.next_vehicle(by_depot[depot]), trip, inst.recharge_time)
     return BaselineResult(state.solution(inst.recharge_time))
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 import time
@@ -47,6 +48,16 @@ def _read(path: str) -> str:
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _positive_seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive, finite number of seconds")
+    return value
 
 
 def _run_algorithm(inst, alg: str, time_budget: float):
@@ -238,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "reusable vehicles.")
     parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument("--threads", type=int, default=1, help="bench worker count")
-    parser.add_argument("--time-budget", type=float, default=60.0,
+    parser.add_argument("--time-budget", type=_positive_seconds, default=60.0,
                         help="per-solve budget in seconds (exact solver)")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -16,9 +16,9 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .graph import shortest_path
+from .graph import one_to_all, shortest_path
 from .instance import Instance, RequiredEdge
-from .solution import EPS, Route, Solution, Trip, covered_by_walk, route_time, worst_route_time
+from .solution import EPS, Route, Solution, route_time, trip_from_walk, worst_route_time
 
 
 class OracleSizeError(ValueError):
@@ -26,8 +26,6 @@ class OracleSizeError(ValueError):
 
 
 def _distance_matrix(inst: Instance) -> list[list[float]]:
-    from .graph import one_to_all
-
     return [one_to_all(inst.graph, s)[0] for s in range(inst.graph.node_count)]
 
 
@@ -103,6 +101,8 @@ def solve_exact(inst: Instance, f_cap: int = 3, time_budget: float = 60.0,
     """
     if f_cap < 1:
         raise OracleSizeError("f_cap must be positive")
+    if not time_budget > 0:
+        raise ValueError("time_budget must be positive")
     dist = _distance_matrix(inst)
     # parallel copies of a required edge are covered by one traversal
     required = tuple(dict.fromkeys(inst.required))
@@ -168,8 +168,7 @@ def _materialize(inst: Instance, plans: list[list[_TripPlan]]) -> Solution:
                 nodes = nodes + leg.nodes[1:] + (head,)
             back = shortest_path(inst.graph, nodes[-1], plan.end_depot)
             nodes = nodes + back.nodes[1:]
-            out.append(Trip(nodes=nodes, duration=plan.duration,
-                            covered=tuple(sorted(covered_by_walk(inst, nodes)))))
+            out.append(trip_from_walk(inst, nodes, plan.duration))
             pos = plan.end_depot
         routes.append(Route(k, tuple(out)))
     return Solution(tuple(routes), worst_route_time(routes, inst.recharge_time), ())

@@ -100,9 +100,9 @@ class WeightedGraph:
                 f"symmetric={self.symmetric})")
 
 
-def _check_node(g: WeightedGraph, node: int) -> None:
-    if not (0 <= node < g.node_count):
-        raise GraphError(f"node {node} out of range [0, {g.node_count})")
+def _check_node(node_count: int, node: int) -> None:
+    if not (0 <= node < node_count):
+        raise GraphError(f"node {node} out of range [0, {node_count})")
 
 
 def _lex_dijkstra(g: WeightedGraph, src: int, stop_at: int | None = None):
@@ -129,29 +129,13 @@ def _lex_dijkstra(g: WeightedGraph, src: int, stop_at: int | None = None):
 
 def shortest_path(g: WeightedGraph, src: int, dst: int) -> PathResult | None:
     """Minimum-cost walk from src to dst, or None if unreachable."""
-    _check_node(g, src)
-    _check_node(g, dst)
+    _check_node(g.node_count, src)
+    _check_node(g.node_count, dst)
     best = _lex_dijkstra(g, src, stop_at=dst)
     if dst not in best:
         return None
     cost, path = best[dst]
     return PathResult(cost, path)
-
-
-def shortest_path_to_set(g: WeightedGraph, src: int, targets) -> tuple[int, PathResult] | None:
-    """Cheapest-to-reach member of targets; ties broken by smallest node id."""
-    targets = set(targets)
-    if not targets:
-        raise GraphError("targets must be nonempty")
-    _check_node(g, src)
-    for t in targets:
-        _check_node(g, t)
-    best = _lex_dijkstra(g, src)
-    reachable = [(best[t][0], t) for t in targets if t in best]
-    if not reachable:
-        return None
-    cost, node = min(reachable)
-    return node, PathResult(cost, best[node][1])
 
 
 def is_connected(g: WeightedGraph) -> bool:
@@ -168,35 +152,42 @@ def is_connected(g: WeightedGraph) -> bool:
 
 
 class DijkstraRun:
-    """State of one Dijkstra run that can be stopped and resumed.
+    """State of one Dijkstra run from a set of sources that can be stopped and
+    resumed.
 
-    `settled` lists the nodes in the order they were settled; their `costs`
-    and `parents` entries are final.  Between advances the heap top is never
-    stale, so `frontier` is the cost of the next node to settle.
+    Every source starts at cost 0 and has parent -1.  Over reversed arcs the
+    parents are next hops toward the nearest source.  `settled` lists the
+    nodes in the order they were settled; their `costs` and `parents` entries
+    are final.  Between advances the heap top is never stale, so `frontier`
+    is the cost of the next node to settle.
     """
 
-    __slots__ = ("costs", "parents", "heap", "settled")
+    __slots__ = ("adj", "costs", "parents", "heap", "settled")
 
-    def __init__(self, g: WeightedGraph, src: int):
-        _check_node(g, src)
-        self.costs = [math.inf] * g.node_count
-        self.parents = [-1] * g.node_count
-        self.costs[src] = 0.0
-        self.heap = [(0.0, src)]
+    def __init__(self, adj: list[list[tuple[int, float]]], sources):
+        self.adj = adj
+        self.costs = [math.inf] * len(adj)
+        self.parents = [-1] * len(adj)
+        # equal costs pop by node id, so the sources in ascending order form a valid heap
+        self.heap: list[tuple[float, int]] = []
+        for s in sorted(set(sources)):
+            _check_node(len(adj), s)
+            self.costs[s] = 0.0
+            self.heap.append((0.0, s))
         self.settled: list[int] = []
 
     @property
     def frontier(self) -> float:
         return self.heap[0][0] if self.heap else math.inf
 
-    def _advance(self, g: WeightedGraph, bound: float) -> None:
+    def _advance(self, bound: float) -> None:
         """Settle every node whose cost is at most bound.
 
         A run advanced in steps performs the same heap operations in the same
         order as one run to infinity, so its final costs and parents match.
         """
         cost, parent, heap, settled = self.costs, self.parents, self.heap, self.settled
-        adj = g._adj
+        adj = self.adj
         while heap and heap[0][0] <= bound:
             c, u = heapq.heappop(heap)
             if c > cost[u]:
@@ -214,8 +205,8 @@ class DijkstraRun:
 
 def one_to_all(g: WeightedGraph, src: int) -> tuple[list[float], list[int]]:
     """Plain Dijkstra: (costs, parents) arrays; parent -1 where unreached."""
-    run = DijkstraRun(g, src)
-    run._advance(g, math.inf)
+    run = DijkstraRun(g._adj, [src])
+    run._advance(math.inf)
     return run.costs, run.parents
 
 
@@ -230,15 +221,14 @@ def path_from_parents(parents: list[int], src: int, dst: int) -> tuple[int, ...]
     return tuple(nodes)
 
 
-def all_to_set(g: WeightedGraph, targets) -> tuple[list[float], list[int], list[int]]:
+def all_to_set(g: WeightedGraph, targets) -> tuple[list[float], list[int]]:
     """Multi-source Dijkstra over reversed arcs.
 
-    Returns (cost, successor, target_of): cost[v] is the cheapest forward cost
-    from v to any target, successor[v] the next hop on that walk, target_of[v]
-    the target reached.  successor/target_of are -1 where no target is
-    reachable (targets themselves have successor -1 and cost 0).
+    Returns (cost, successor): cost[v] is the cheapest forward cost from v to
+    any target and successor[v] the next hop on that walk; successor is -1
+    at the targets (cost 0) and where no target is reachable.
     """
-    targets = sorted(set(targets))
+    targets = set(targets)
     if not targets:
         raise GraphError("targets must be nonempty")
     # ascending u, one arc per (u, v): every reversed list comes out sorted
@@ -246,29 +236,9 @@ def all_to_set(g: WeightedGraph, targets) -> tuple[list[float], list[int], list[
     for u in range(g.node_count):
         for v, w in g.neighbors(u):
             radj[v].append((u, w))
-    inf = float("inf")
-    cost = [inf] * g.node_count
-    succ = [-1] * g.node_count
-    target_of = [-1] * g.node_count
-    heap = []
-    for t in targets:
-        _check_node(g, t)
-        cost[t] = 0.0
-        target_of[t] = t
-        heap.append((0.0, t))
-    heapq.heapify(heap)
-    while heap:
-        c, v = heapq.heappop(heap)
-        if c > cost[v]:
-            continue
-        for u, w in radj[v]:
-            nc = c + w
-            if nc < cost[u]:
-                cost[u] = nc
-                succ[u] = v
-                target_of[u] = target_of[v]
-                heapq.heappush(heap, (nc, u))
-    return cost, succ, target_of
+    run = DijkstraRun(radj, targets)
+    run._advance(math.inf)
+    return run.costs, run.parents
 
 
 def path_to_set(succ: list[int], src: int) -> tuple[int, ...]:
@@ -288,7 +258,7 @@ class DistanceTables:
 
     def __init__(self, graph: WeightedGraph, depots):
         self.graph = graph
-        self.to_depot_cost, self.to_depot_succ, _ = all_to_set(graph, depots)
+        self.to_depot_cost, self.to_depot_succ = all_to_set(graph, depots)
         self._runs: dict[int, DijkstraRun] = {}
         # complete runs as returned by `row`: one lookup on the baselines' hot paths
         self._rows: dict[int, tuple[list[float], list[int]]] = {}
@@ -297,8 +267,8 @@ class DistanceTables:
         """Run from src, advanced until every node within bound is settled."""
         run = self._runs.get(src)
         if run is None:
-            run = self._runs[src] = DijkstraRun(self.graph, src)
-        run._advance(self.graph, bound)
+            run = self._runs[src] = DijkstraRun(self.graph._adj, [src])
+        run._advance(bound)
         return run
 
     def row(self, src: int) -> tuple[list[float], list[int]]:

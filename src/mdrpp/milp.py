@@ -16,8 +16,8 @@ from .solution import (
     Route,
     Solution,
     Trip,
-    covered_by_walk,
     route_time,
+    trip_from_walk,
     worst_route_time,
 )
 
@@ -483,8 +483,7 @@ def decode_solution(inst: Instance, num_trips: int, assignment: dict[str, float]
                 raise DecodeError(
                     f"vehicle {k} trip {f}: arcs do not form a depot-to-depot walk")
             duration = sum(arcs[a][2] for a in chosen)
-            trips.append(Trip(nodes=walk, duration=duration,
-                              covered=tuple(sorted(covered_by_walk(inst, walk)))))
+            trips.append(trip_from_walk(inst, walk, duration))
             pos = end[0]
         routes.append(Route(k, tuple(trips)))
     makespan = worst_route_time(routes, inst.recharge_time)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 from .graph import DistanceTables, path_from_parents
 from .instance import Instance, RequiredEdge
-from .solution import EPS, Route, Solution, Trip, covered_by_walk, worst_route_time
+from .solution import EPS, Route, Solution, Trip, trip_from_walk, worst_route_time
 
 
 @dataclass
@@ -176,11 +176,6 @@ def initial_fleet_state(inst: Instance) -> FleetState:
     return FleetState(inst, vehicles, [True] * len(inst.required), len(inst.required))
 
 
-def select_next_vehicle(state: FleetState) -> int | None:
-    """Feasible vehicle with minimum availability time, ties by index."""
-    return state.next_vehicle()
-
-
 def _edge_distance(costs: list[float], e: RequiredEdge) -> float:
     return min(costs[e.frm], costs[e.to])
 
@@ -207,9 +202,7 @@ def closest_feasible_edge(inst: Instance, state: FleetState, k: int,
     duration, pos, _, tail, head = top
     nodes = path_from_parents(queues.tables.run(location).parents, location, tail)
     nodes = nodes + (head,) + queues.tables.return_walk(head)[1:]
-    trip = Trip(nodes=nodes, duration=duration,
-                covered=tuple(sorted(covered_by_walk(inst, nodes))))
-    return inst.required[pos], trip
+    return inst.required[pos], trip_from_walk(inst, nodes, duration)
 
 
 def closest_feasible_depot(inst: Instance, state: FleetState, k: int,
@@ -242,9 +235,7 @@ def closest_feasible_depot(inst: Instance, state: FleetState, k: int,
         return None
     depot = best[1]
     nodes = path_from_parents(parents, veh.location, depot)
-    trip = Trip(nodes=nodes, duration=costs[depot],
-                covered=tuple(sorted(covered_by_walk(inst, nodes))))
-    return depot, trip
+    return depot, trip_from_walk(inst, nodes, costs[depot])
 
 
 def solve_multitrip(inst: Instance) -> Solution:
@@ -287,8 +278,7 @@ def solve_multitrip(inst: Instance) -> Solution:
         if veh.location not in depot_set:
             walk = tables.return_walk(veh.location)
             if len(walk) > 1:
-                trip = Trip(nodes=walk, duration=tables.to_depot_cost[veh.location],
-                            covered=tuple(sorted(covered_by_walk(inst, walk))))
+                trip = trip_from_walk(inst, walk, tables.to_depot_cost[veh.location])
                 state.commit(k, trip, inst.recharge_time)
 
     return state.solution(inst.recharge_time)

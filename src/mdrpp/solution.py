@@ -58,6 +58,8 @@ def evaluate_solution(inst: Instance, sol: Solution) -> float:
 
 def gap(m_heuristic: float, m_optimal: float) -> float:
     """Percentage excess of a heuristic makespan over the optimum."""
+    if not (math.isfinite(m_heuristic) and math.isfinite(m_optimal)):
+        raise ValueError("makespans must be finite")
     if m_optimal <= 0:
         raise ValueError("optimal makespan must be positive")
     return (m_heuristic - m_optimal) / m_optimal * 100.0
@@ -82,6 +84,12 @@ def covered_by_walk(inst: Instance, nodes) -> set[RequiredEdge]:
         if pair in served:
             out.update(served[pair])
     return out
+
+
+def trip_from_walk(inst: Instance, nodes, duration: float) -> Trip:
+    """Trip along a walk, credited with every required edge the walk traverses."""
+    return Trip(nodes=nodes, duration=duration,
+                covered=tuple(sorted(covered_by_walk(inst, nodes))))
 
 
 def check_feasibility(inst: Instance, sol: Solution) -> list[str]:

@@ -163,5 +163,17 @@ def test_gap_verb(capsys):
     code, out, _ = run(capsys, "gap", "166", "141")
     assert code == 0
     assert out.strip() == "17.7"
-    code, _, _ = run(capsys, "gap", "10", "0")
-    assert code == 2
+    for argv in (("10", "0"), ("nan", "1"), ("inf", "5"), ("5", "inf")):
+        code, out, _ = run(capsys, "gap", *argv)
+        assert code == 2 and out == ""
+
+
+def test_time_budget_must_be_positive_and_finite(tmp_path, capsys):
+    inst_path = write_instance(tmp_path, trivial_instance())
+    for value in ("-1", "0", "nan", "inf", "soon"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--time-budget", value, "solve", inst_path, "exact"])
+        assert exc.value.code == 2
+        assert "--time-budget" in capsys.readouterr().err
+    code, out, _ = run(capsys, "--time-budget", "2.5", "solve", inst_path, "exact")
+    assert code == 0 and out.split()[-1] == "optimal"

@@ -188,6 +188,13 @@ def test_exhaustive_guard_raises():
         solve_exact(inst, f_cap=0)
 
 
+def test_solve_exact_rejects_a_time_budget_that_is_not_positive():
+    inst = two_vehicle_instance()
+    for budget in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="time_budget"):
+            solve_exact(inst, time_budget=budget)
+
+
 def test_duplicate_required_edges_collapse():
     g = undirected_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     base = Instance(graph=g, depots=(0,), required=(RequiredEdge(0, 1),),

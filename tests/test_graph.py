@@ -1,5 +1,6 @@
 """Shortest-path layer checked against Floyd-Warshall and brute-force walks."""
 
+import heapq
 import itertools
 import random
 
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 
 from mdrpp import WeightedGraph, is_connected, shortest_path
 from mdrpp.graph import (
+    DijkstraRun,
     DistanceTables,
+    GraphError,
     all_to_set,
     one_to_all,
     path_to_set,
-    shortest_path_to_set,
 )
 
 from conftest import undirected_graph
@@ -147,28 +149,53 @@ def test_lexicographic_tie_break_is_deterministic():
         assert shortest_path(g, 0, 3).nodes == (0, 1, 3)
 
 
-def test_shortest_path_to_set_picks_nearest_then_smallest_id():
-    g = undirected_graph(5, [(0, 1, 1), (0, 2, 1), (2, 3, 5), (1, 4, 5)])
-    target, res = shortest_path_to_set(g, 0, {1, 2})
-    assert target == 1 and res.cost == 1.0 and res.nodes == (0, 1)
-    # unreachable target set
-    g2 = WeightedGraph(3, [(0, 1, 1.0), (1, 0, 1.0)])
-    assert shortest_path_to_set(g2, 0, {2}) is None
+def reversed_adjacency(g: WeightedGraph) -> list[list[tuple[int, float]]]:
+    radj = [[] for _ in range(g.node_count)]
+    for u in range(g.node_count):
+        for v, w in g.neighbors(u):
+            radj[v].append((u, w))
+    return radj
+
+
+def reference_all_to_set(g: WeightedGraph, targets) -> tuple[list[float], list[int]]:
+    """The one-shot multi-source loop over reversed arcs that `all_to_set`
+    ran before it became a `DijkstraRun`."""
+    targets = sorted(set(targets))
+    radj = reversed_adjacency(g)
+    cost = [INF] * g.node_count
+    succ = [-1] * g.node_count
+    heap = []
+    for t in targets:
+        cost[t] = 0.0
+        heap.append((0.0, t))
+    heapq.heapify(heap)
+    while heap:
+        c, v = heapq.heappop(heap)
+        if c > cost[v]:
+            continue
+        for u, w in radj[v]:
+            nc = c + w
+            if nc < cost[u]:
+                cost[u] = nc
+                succ[u] = v
+                heapq.heappush(heap, (nc, u))
+    return cost, succ
 
 
 def test_all_to_set_agrees_with_per_node_runs():
     g = build_random(123)
     depots = {0, g.node_count - 1}
-    cost, succ, target_of = all_to_set(g, depots)
+    cost, succ = all_to_set(g, depots)
     for s in range(g.node_count):
-        res = shortest_path_to_set(g, s, depots)
-        if res is None:
-            assert cost[s] == INF
-        else:
-            assert cost[s] == pytest.approx(res[1].cost, abs=1e-9)
-            assert target_of[s] in depots
-            walk = path_to_set(succ, s)
-            assert walk[-1] in depots
+        assert cost[s] == pytest.approx(min(shortest_path(g, s, d).cost for d in depots),
+                                        abs=1e-9)
+        walk = path_to_set(succ, s)
+        assert walk[-1] in depots
+        total = sum(g.min_weight(i, j) for i, j in zip(walk, walk[1:]))
+        assert total == pytest.approx(cost[s], abs=1e-9)
+    for targets in ((), (g.node_count,)):
+        with pytest.raises(GraphError):
+            all_to_set(g, targets)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -184,7 +211,8 @@ def test_resumed_run_matches_one_to_all(seed):
     src = rng.randrange(n)
     costs, parents = one_to_all(g, src)
     tables = DistanceTables(g, [src])
-    for bound in sorted(rng.randint(0, 8) for _ in range(4)):
+    bounds = sorted(rng.randint(0, 8) for _ in range(4))
+    for bound in bounds:
         run = tables.run(src, bound)
         within = {v for v in range(n) if costs[v] <= bound}
         assert set(run.settled) == within
@@ -192,6 +220,18 @@ def test_resumed_run_matches_one_to_all(seed):
         for v in within:
             assert (run.costs[v], run.parents[v]) == (costs[v], parents[v])
     assert tables.row(src) == (costs, parents)
+    # the to-target table, and a reverse multi-source run advanced in the
+    # same steps, match the one-shot reference loop
+    targets = rng.sample(range(n), rng.randint(1, min(4, n)))
+    cost, succ = reference_all_to_set(g, targets)
+    assert all_to_set(g, targets) == (cost, succ)
+    run = DijkstraRun(reversed_adjacency(g), targets)
+    for bound in bounds:
+        run._advance(bound)
+        assert set(run.settled) == {v for v in range(n) if cost[v] <= bound}
+        assert run.frontier == min((c for c in cost if c > bound), default=INF)
+    run._advance(INF)
+    assert (run.costs, run.parents) == (cost, succ)
 
 
 def test_is_connected():

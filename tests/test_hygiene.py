@@ -3,7 +3,9 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "mdrpp"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mdrpp"
+TESTS = ROOT / "tests"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -27,7 +29,8 @@ def test_unused_imports_are_detected():
 
 
 def test_no_unused_module_level_imports():
-    # __init__.py is skipped: its imports are the package's re-exports
-    found = {path.name: unused_imports(path.read_text())
-             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    # the package's __init__.py is skipped: its imports are re-exports
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(TESTS.glob("*.py"))
+    found = {str(p.relative_to(ROOT)): unused_imports(p.read_text()) for p in paths}
     assert {name: names for name, names in found.items() if names} == {}

@@ -9,7 +9,6 @@ from mdrpp import (
     closest_feasible_edge,
     initial_fleet_state,
     route_time,
-    select_next_vehicle,
     solve_multitrip,
 )
 from mdrpp.graph import DistanceTables, one_to_all
@@ -77,14 +76,14 @@ def test_select_next_vehicle_tie_breaks():
     state = initial_fleet_state(inst)
     state.vehicles[0].available = 5.0
     state.vehicles[1].available = 3.2
-    assert select_next_vehicle(state) == 1
+    assert state.next_vehicle() == 1
     state.vehicles[0].available = 4.0
     state.vehicles[1].available = 4.0
-    assert select_next_vehicle(state) == 0      # index breaks the tie
+    assert state.next_vehicle() == 0      # index breaks the tie
     state.vehicles[0].infeasible = True
-    assert select_next_vehicle(state) == 1
+    assert state.next_vehicle() == 1
     state.vehicles[1].infeasible = True
-    assert select_next_vehicle(state) is None
+    assert state.next_vehicle() is None
 
 
 def enumerate_best_trip(inst, location, edges=None):
@@ -138,7 +137,7 @@ def test_closest_feasible_edge_matches_enumeration_mid_solve():
         state = initial_fleet_state(inst)
         state.queues = TripQueues(inst, tables, state.is_open)
         while state.uncovered:
-            k = select_next_vehicle(state)
+            k = state.next_vehicle()
             if k is None:
                 break
             location = state.vehicles[k].location
@@ -284,7 +283,7 @@ def test_closest_feasible_edge_matches_enumeration_with_equal_durations():
         state = initial_fleet_state(inst)
         state.queues = TripQueues(inst, tables, state.is_open)
         while state.remaining:
-            k = select_next_vehicle(state)
+            k = state.next_vehicle()
             if k is None:
                 break
             uncovered = state.uncovered
