@@ -250,7 +250,7 @@ def construct_strike(inst: Instance) -> BaselineResult:
         if passes > max_passes:
             return BaselineResult(None, reason="pass budget exhausted")
         # all five criteria scan the same residual graph
-        residual = WeightedGraph(node_count, residual_arcs, symmetric=False)
+        residual = WeightedGraph(node_count, residual_arcs)
         tables = DistanceTables(residual, inst.start_depots)
         candidates = _candidates(tables, inst)
         best = None

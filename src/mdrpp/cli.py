@@ -60,6 +60,16 @@ def _positive_seconds(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
+
 def _run_algorithm(inst, alg: str, time_budget: float):
     """Returns (Solution | None, reason | None, optimal_flag | None)."""
     if alg == "mt":
@@ -198,8 +208,10 @@ def cmd_bench(args) -> int:
             print(f"bench: unknown algorithm {alg!r}", file=sys.stderr)
             return 2
     tasks = [(p, algorithms, args.time_budget) for p in paths]
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+    # a fork pool starts all its workers on the first submit
+    workers = min(args.threads, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_one, tasks))
     else:
         rows = [_bench_one(t) for t in tasks]
@@ -248,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-depot rural postman solver toolkit for rechargeable, "
                     "reusable vehicles.")
     parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument("--threads", type=int, default=1, help="bench worker count")
+    parser.add_argument("--threads", type=_positive_int, default=1, help="bench worker count")
     parser.add_argument("--time-budget", type=_positive_seconds, default=60.0,
                         help="per-solve budget in seconds (exact solver)")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -13,6 +13,7 @@ Neither scales; both are ground truth for heuristic gaps and MILP checks.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
@@ -23,6 +24,11 @@ from .solution import EPS, Route, Solution, route_time, trip_from_walk, worst_ro
 
 class OracleSizeError(ValueError):
     pass
+
+
+# ordered, oriented edge sequences one depot's trip list may enumerate: admits
+# 14 distinct required edges at the default trip size of 3
+MAX_TRIP_SEQUENCES = 20_000
 
 
 def _distance_matrix(inst: Instance) -> list[list[float]]:
@@ -57,10 +63,11 @@ class _TripPlan:
 
 
 def _trip_options(inst: Instance, dist, depot: int, required: tuple[RequiredEdge, ...],
-                  max_edges: int):
+                  max_edges: int, deadline: float):
     """All capacity-feasible trips from `depot`, each with the bit mask of the
     required edges it covers: repositioning hops (mask 0) first, then covering
-    trips over ordered subsets of `required`, by size, in lexicographic order."""
+    trips over ordered subsets of `required`, by size, in lexicographic order.
+    None once `deadline` (a `time.monotonic` reading) has passed."""
     options: list[tuple[_TripPlan, int]] = []
     cap = inst.capacity + EPS
     for d in inst.depots:
@@ -69,6 +76,8 @@ def _trip_options(inst: Instance, dist, depot: int, required: tuple[RequiredEdge
     indices = range(len(required))
     for size in range(1, min(max_edges, len(required)) + 1):
         for combo in itertools.permutations(indices, size):
+            if time.monotonic() > deadline:
+                return None
             edges = [required[i] for i in combo]
             mask = sum(1 << i for i in combo)
             for orients in itertools.product(*[e.orientations() for e in edges]):
@@ -98,16 +107,24 @@ def solve_exact(inst: Instance, f_cap: int = 3, time_budget: float = 60.0,
     Trips cover at most `max_edges_per_trip` required edges (default
     min(|E_u|, 3)); raising it restores completeness at exponential cost.
     Returns None when no feasible assignment exists within f_cap trips.
+    Raises OracleSizeError when one depot's trip list would enumerate more
+    than MAX_TRIP_SEQUENCES ordered, oriented edge sequences.
     """
     if f_cap < 1:
         raise OracleSizeError("f_cap must be positive")
     if not time_budget > 0:
         raise ValueError("time_budget must be positive")
-    dist = _distance_matrix(inst)
     # parallel copies of a required edge are covered by one traversal
     required = tuple(dict.fromkeys(inst.required))
     if max_edges_per_trip is None:
         max_edges_per_trip = min(len(required), 3) or 1
+    sequences = sum(math.perm(len(required), s) * 2 ** s
+                    for s in range(1, min(max_edges_per_trip, len(required)) + 1))
+    if sequences > MAX_TRIP_SEQUENCES:
+        raise OracleSizeError(
+            f"{len(required)} required edges at {max_edges_per_trip} per trip give "
+            f"{sequences} trip sequences per depot (cap {MAX_TRIP_SEQUENCES})")
+    dist = _distance_matrix(inst)
     edge_bound = [_cheapest_single_trip(inst, dist, e) for e in required]
     deadline = time.monotonic() + time_budget
     options: dict[int, list[tuple[_TripPlan, int]]] = {}
@@ -145,10 +162,16 @@ def solve_exact(inst: Instance, f_cap: int = 3, time_budget: float = 60.0,
         if len(trips) >= f_cap:
             return
         if depot not in options:
-            options[depot] = _trip_options(inst, dist, depot, required, max_edges_per_trip)
+            built = _trip_options(inst, dist, depot, required, max_edges_per_trip, deadline)
+            if built is None:
+                complete = False
+                return
+            options[depot] = built
         for plan, mask in options[depot]:
             if mask & remaining == mask:
                 search(k, plan.end_depot, trips + (plan,), remaining & ~mask)
+                if not complete:
+                    return
 
     search(0, inst.start_depot(0), (), (1 << len(required)) - 1)
     if best_plan is None:

@@ -9,16 +9,15 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class GraphError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     frm: int
     to: int
     weight: float
@@ -31,8 +30,6 @@ class PathResult:
 
 
 def _as_arc(item) -> Arc:
-    if isinstance(item, Arc):
-        return Arc(int(item.frm), int(item.to), float(item.weight))
     frm, to, weight = item
     return Arc(int(frm), int(to), float(weight))
 
@@ -40,35 +37,28 @@ def _as_arc(item) -> Arc:
 class WeightedGraph:
     """Immutable multigraph; parallel arcs are kept, self-loops rejected."""
 
-    __slots__ = ("node_count", "arcs", "symmetric", "_adj", "_min_weight")
+    __slots__ = ("node_count", "arcs", "_adj", "_min_weight")
 
-    def __init__(self, node_count: int, arcs, symmetric: bool = False):
+    def __init__(self, node_count: int, arcs):
         node_count = int(node_count)
         if node_count <= 0:
             raise GraphError("node_count must be positive")
         arcs = tuple(_as_arc(a) for a in arcs)
-        for a in arcs:
-            if not (0 <= a.frm < node_count and 0 <= a.to < node_count):
-                raise GraphError(f"arc ({a.frm},{a.to}) references unknown node")
-            if a.frm == a.to:
-                raise GraphError(f"self-loop at node {a.frm} rejected")
-            if not 0 <= a.weight < math.inf:
-                raise GraphError(f"weight {a.weight} on arc ({a.frm},{a.to}) is negative "
-                                 "or not finite")
-        if symmetric:
-            fwd = Counter((a.frm, a.to, a.weight) for a in arcs)
-            rev = Counter((a.to, a.frm, a.weight) for a in arcs)
-            if fwd != rev:
-                raise GraphError("symmetric graph must contain both orientations of every edge")
+        for frm, to, w in arcs:
+            if not (0 <= frm < node_count and 0 <= to < node_count):
+                raise GraphError(f"arc ({frm},{to}) references unknown node")
+            if frm == to:
+                raise GraphError(f"self-loop at node {frm} rejected")
+            if not 0 <= w < math.inf:
+                raise GraphError(f"weight {w} on arc ({frm},{to}) is negative or not finite")
         self.node_count = node_count
         self.arcs = arcs
-        self.symmetric = bool(symmetric)
         # shortest-path relaxation only ever needs the cheapest parallel arc
         min_w: dict[tuple[int, int], float] = {}
-        for a in arcs:
-            key = (a.frm, a.to)
-            if key not in min_w or a.weight < min_w[key]:
-                min_w[key] = a.weight
+        for frm, to, w in arcs:
+            key = (frm, to)
+            if key not in min_w or w < min_w[key]:
+                min_w[key] = w
         self._min_weight = min_w
         adj: list[list[tuple[int, float]]] = [[] for _ in range(node_count)]
         for (frm, to), w in sorted(min_w.items()):
@@ -84,20 +74,13 @@ class WeightedGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):
             return NotImplemented
-        return (
-            self.node_count == other.node_count
-            and self.symmetric == other.symmetric
-            and sorted((a.frm, a.to, a.weight) for a in self.arcs)
-            == sorted((a.frm, a.to, a.weight) for a in other.arcs)
-        )
+        return self.node_count == other.node_count and sorted(self.arcs) == sorted(other.arcs)
 
     def __hash__(self) -> int:
-        return hash((self.node_count, self.symmetric,
-                     tuple(sorted((a.frm, a.to, a.weight) for a in self.arcs))))
+        return hash((self.node_count, tuple(sorted(self.arcs))))
 
     def __repr__(self) -> str:
-        return (f"WeightedGraph(nodes={self.node_count}, arcs={len(self.arcs)}, "
-                f"symmetric={self.symmetric})")
+        return f"WeightedGraph(nodes={self.node_count}, arcs={len(self.arcs)})"
 
 
 def _check_node(node_count: int, node: int) -> None:

@@ -6,6 +6,7 @@ import functools
 import math
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .graph import Arc, WeightedGraph, is_connected
@@ -54,7 +55,8 @@ class Instance:
         for d in self.depots:
             if not (0 <= d < g.node_count):
                 raise InstanceError(f"depot {d} is not a node")
-        if len(set(self.depots)) != len(self.depots):
+        depot_set = set(self.depots)
+        if len(depot_set) != len(self.depots):
             raise InstanceError("duplicate depot ids")
         if self.vehicles < 1:
             raise InstanceError("vehicle count must be positive")
@@ -65,9 +67,8 @@ class Instance:
         if len(self.start_depots) != self.vehicles:
             raise InstanceError("one start depot per vehicle is required")
         for b in self.start_depots:
-            if not (0 <= b < g.node_count):
-                raise InstanceError(f"start depot {b} is not a node")
-        # a start depot outside the depot set is a validate_instance finding
+            if b not in depot_set:
+                raise InstanceError(f"start depot {b} is not a depot")
         for e in self.required:
             if g.min_weight(e.frm, e.to) is None:
                 raise InstanceError(f"required edge ({e.frm},{e.to}) has no matching arc")
@@ -106,7 +107,6 @@ class GenSpec:
     max_edge_weight: float | None = None
     capacity_minutes: float = 31.0
     wind_ratio: float = 0.3
-    recharge_time: float | None = None
 
     def __post_init__(self):
         if self.set_kind not in ("A", "B", "C"):
@@ -130,8 +130,8 @@ def serialize_instance(inst: Instance) -> str:
     lines.append(f"CAPACITY {_fmt(inst.capacity)}")
     lines.append(f"RECHARGE {_fmt(inst.recharge_time)}")
     lines.append("START " + " ".join(str(b) for b in inst.start_depots))
-    for a in sorted(inst.graph.arcs, key=lambda a: (a.frm, a.to, a.weight)):
-        lines.append(f"ARC {a.frm} {a.to} {_fmt(a.weight)}")
+    for frm, to, w in sorted(inst.graph.arcs):
+        lines.append(f"ARC {frm} {to} {_fmt(w)}")
     for e in sorted(_canonical_required(inst.required)):
         suffix = " DIR" if e.directed else ""
         lines.append(f"REQ {e.frm} {e.to}{suffix}")
@@ -202,10 +202,8 @@ def parse_instance(text: str) -> Instance:
         raise FormatError(1, "missing NODES line")
     if vehicles is None or capacity is None or not depots or not start:
         raise FormatError(1, "missing one of DEPOTS/VEHICLES/CAPACITY/START")
-    symmetric = _arcs_symmetric(arcs)
-    graph = WeightedGraph(node_count, arcs, symmetric=symmetric)
     return Instance(
-        graph=graph,
+        graph=WeightedGraph(node_count, arcs),
         depots=tuple(sorted(depots)),
         required=tuple(sorted(_canonical_required(required))),
         vehicles=vehicles,
@@ -214,14 +212,6 @@ def parse_instance(text: str) -> Instance:
         start_depots=tuple(start),
         name=name,
     )
-
-
-def _arcs_symmetric(arcs) -> bool:
-    from collections import Counter
-
-    fwd = Counter((a.frm, a.to, a.weight) for a in arcs)
-    rev = Counter((a.to, a.frm, a.weight) for a in arcs)
-    return fwd == rev
 
 
 _CARP_EDGE_RE = re.compile(
@@ -233,7 +223,7 @@ _CARP_COUNT_RE = re.compile(
 def parse_carp_benchmark(text: str) -> tuple[WeightedGraph, list[tuple[int, int, float]]]:
     """Parse the classic gdb-style CARP layout (1-based nodes, one edge/line).
 
-    Returns the symmetric graph plus the edge list in file order so that
+    Returns the undirected graph plus the edge list in file order so that
     required-edge sampling is reproducible.
     """
     node_count = None
@@ -275,7 +265,7 @@ def parse_carp_benchmark(text: str) -> tuple[WeightedGraph, list[tuple[int, int,
     for i, j, c in edges:
         arcs.append(Arc(i, j, c))
         arcs.append(Arc(j, i, c))
-    return WeightedGraph(node_count, arcs, symmetric=True), edges
+    return WeightedGraph(node_count, arcs), edges
 
 
 def _round_half_up(x: float) -> int:
@@ -286,6 +276,8 @@ def random_connected_graph(node_count: int, edge_count: int, seed: int,
                            min_weight: float = 1.0, max_weight: float = 10.0,
                            integer_weights: bool = True) -> WeightedGraph:
     """Seeded random connected undirected multigraph."""
+    if node_count < 2:
+        raise InstanceError("a random graph needs at least two nodes")
     if edge_count < node_count - 1:
         raise InstanceError("edge_count too small for a connected graph")
     rng = random.Random(seed)
@@ -320,12 +312,13 @@ def random_connected_graph(node_count: int, edge_count: int, seed: int,
     for i, j, w in edges:
         arcs.append(Arc(i, j, w))
         arcs.append(Arc(j, i, w))
-    return WeightedGraph(node_count, arcs, symmetric=True)
+    return WeightedGraph(node_count, arcs)
 
 
 def undirected_edges(g: WeightedGraph) -> list[tuple[int, int, float]]:
-    """Undirected edge list of a symmetric graph, sorted, one per arc pair."""
-    if not g.symmetric:
+    """Undirected edge list of a graph whose every arc has a mirror of equal
+    weight, sorted, one per arc pair."""
+    if Counter(g.arcs) != Counter((a.to, a.frm, a.weight) for a in g.arcs):
         raise InstanceError("undirected edge list requires a symmetric graph")
     return sorted((a.frm, a.to, a.weight) for a in g.arcs if a.frm < a.to)
 
@@ -336,11 +329,9 @@ def generate_instance(base: WeightedGraph, spec: GenSpec) -> Instance:
     Counts follow fixed conventions: round-half-up for depots (|N|/5, min 2)
     and required edges (|E|/3, min 1), floor for vehicles (|E_u|/2, min 1).
     """
-    if not base.symmetric:
-        raise InstanceError("generation starts from an undirected base graph")
+    edges = undirected_edges(base)
     if not is_connected(base):
         raise InstanceError("base graph must be connected")
-    edges = undirected_edges(base)
     if spec.node_count != base.node_count or spec.edge_count != len(edges):
         raise InstanceError(
             f"spec sizes ({spec.node_count} nodes, {spec.edge_count} edges) do not "
@@ -379,7 +370,7 @@ def generate_instance(base: WeightedGraph, spec: GenSpec) -> Instance:
             else:
                 arcs.append(Arc(i, j, round(against_wind, 6)))
                 arcs.append(Arc(j, i, round(with_wind, 6)))
-        graph = WeightedGraph(base.node_count, arcs, symmetric=False)
+        graph = WeightedGraph(base.node_count, arcs)
         required = []
         for idx in required_idx:
             i, j = pairs[idx]
@@ -391,16 +382,13 @@ def generate_instance(base: WeightedGraph, spec: GenSpec) -> Instance:
     else:
         required = tuple(sorted(RequiredEdge(*pairs[idx]) for idx in required_idx))
 
-    recharge = spec.recharge_time
-    if recharge is None:
-        recharge = round(capacity / 10.0, 6)
     return Instance(
         graph=graph,
         depots=depots,
         required=required,
         vehicles=vehicles,
         capacity=capacity,
-        recharge_time=recharge,
+        recharge_time=round(capacity / 10.0, 6),
         start_depots=start,
         name=f"{spec.set_kind}-n{spec.node_count}-e{spec.edge_count}-s{spec.seed}",
     )
@@ -420,18 +408,12 @@ def add_dummy_nodes(inst: Instance) -> tuple[Instance, dict[RequiredEdge, Requir
     new_required: list[RequiredEdge] = []
     remap: dict[RequiredEdge, RequiredEdge] = {}
 
-    def weight(i: int, j: int) -> float:
-        w = inst.graph.min_weight(i, j)
-        if w is None:
-            raise InstanceError(f"required edge ({i},{j}) has no matching arc")
-        return w
-
     for e in inst.required:
         frm, to = e.frm, e.to
         if frm not in depot_set and to not in depot_set:
             new_required.append(e)
             continue
-        w_fwd = weight(frm, to)
+        w_fwd = inst.graph.min_weight(frm, to)
         w_bwd = inst.graph.min_weight(to, frm)
         nfrm, nto = frm, to
         if frm in depot_set:
@@ -455,9 +437,8 @@ def add_dummy_nodes(inst: Instance) -> tuple[Instance, dict[RequiredEdge, Requir
 
     if not remap:
         return inst, {}
-    graph = WeightedGraph(next_node, arcs, symmetric=_arcs_symmetric(arcs))
     modified = Instance(
-        graph=graph,
+        graph=WeightedGraph(next_node, arcs),
         depots=inst.depots,
         required=tuple(new_required),
         vehicles=inst.vehicles,
@@ -480,8 +461,4 @@ def validate_instance(inst: Instance) -> list[str]:
         if key in seen:
             findings.append(f"duplicate required edge ({e.frm},{e.to})")
         seen.add(key)
-    depot_set = set(inst.depots)
-    for k, b in enumerate(inst.start_depots):
-        if b not in depot_set:
-            findings.append(f"start depot of vehicle {k} ({b}) is not a depot")
     return findings

@@ -270,17 +270,6 @@ def solve_multitrip(inst: Instance) -> Solution:
             veh.infeasible = True
             continue
         state.commit(k, move[1], inst.recharge_time)
-
-    # a vehicle retired before its first trip still stands at its start
-    # depot, which need not belong to the depot set
-    depot_set = set(inst.depots)
-    for k, veh in enumerate(state.vehicles):
-        if veh.location not in depot_set:
-            walk = tables.return_walk(veh.location)
-            if len(walk) > 1:
-                trip = trip_from_walk(inst, walk, tables.to_depot_cost[veh.location])
-                state.commit(k, trip, inst.recharge_time)
-
     return state.solution(inst.recharge_time)
 
 

@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from mdrpp import parse_instance, serialize_instance
+from mdrpp import cli, parse_instance, serialize_instance
 from mdrpp.cli import main
 
 from conftest import tiny_corpus, trivial_instance, two_vehicle_instance
@@ -50,6 +50,9 @@ def test_generate_usage_error(capsys):
     code, _, err = run(capsys, "generate")
     assert code == 2
     assert "required" in err
+    code, _, err = run(capsys, "--seed", "1", "generate", "--nodes", "1", "--edges", "2")
+    assert code == 2
+    assert "two nodes" in err
 
 
 def test_solve_then_check_pipeline(tmp_path, capsys):
@@ -150,6 +153,39 @@ def test_bench_rerun_identical_modulo_timing(tmp_path, capsys):
         rows = list(csv.reader(open(out_csv)))
         outs.append([[c for i, c in enumerate(r) if i != 2] for r in rows])
     assert outs[0] == outs[1]
+
+
+def test_bench_threads_are_positive_and_bound_the_pool(tmp_path, capsys, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    inst_dir = tmp_path / "cases"
+    inst_dir.mkdir()
+    for i, inst in enumerate(tiny_corpus(3)):
+        (inst_dir / f"i{i}.inst").write_text(serialize_instance(inst))
+    code, out, _ = run(capsys, "--threads", "5000", "bench", str(inst_dir),
+                       "--algorithms", "mt")
+    assert code == 0 and sizes == [3]
+    assert len(out.splitlines()) == 1 + 3
+    for value in ("0", "-3", "two"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", value, "bench", str(inst_dir)])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+    assert sizes == [3]
 
 
 def test_bench_empty_dir_is_usage_error(tmp_path, capsys):

@@ -1,8 +1,11 @@
 """Exact solver vs. independent brute-force enumeration, plus invariants."""
 
+import itertools
+
 import pytest
 
 from mdrpp import (
+    GenSpec,
     Instance,
     OracleSizeError,
     RequiredEdge,
@@ -10,6 +13,9 @@ from mdrpp import (
     add_dummy_nodes,
     check_feasibility,
     enumerate_exhaustive,
+    exact,
+    generate_instance,
+    random_connected_graph,
     solve_exact,
 )
 
@@ -193,6 +199,30 @@ def test_solve_exact_rejects_a_time_budget_that_is_not_positive():
     for budget in (-1.0, 0.0, float("nan")):
         with pytest.raises(ValueError, match="time_budget"):
             solve_exact(inst, time_budget=budget)
+
+
+def set_b_instance(nodes: int):
+    """Seed-1 set-B instance with about 1.9 edges per node, as from
+    `generate --nodes N --edges 15N/8 --float-weights --min-weight 0.5 --max-weight 3`."""
+    edges = 15 * nodes // 8
+    base = random_connected_graph(nodes, edges, 1, integer_weights=False,
+                                  min_weight=0.5, max_weight=3.0)
+    return generate_instance(base, GenSpec(nodes, edges, 1, set_kind="B"))
+
+
+def test_solve_exact_size_guard():
+    inst = set_b_instance(30)  # 19 required edges
+    with pytest.raises(OracleSizeError, match="trip sequences"):
+        solve_exact(inst, time_budget=0.5)
+
+
+def test_solve_exact_stops_building_trips_at_the_deadline(monkeypatch):
+    clock = itertools.count()  # one second per reading
+    monkeypatch.setattr(exact.time, "monotonic", lambda: float(next(clock)))
+    inst = set_b_instance(20)  # 12 required edges: 1464 edge orders per depot
+    assert solve_exact(inst, time_budget=100.0) is None
+    # once the deadline passes, the trip builder and every search frame stop
+    assert next(clock) < 120
 
 
 def test_duplicate_required_edges_collapse():

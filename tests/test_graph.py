@@ -244,8 +244,6 @@ def test_graph_validation_errors():
         WeightedGraph(2, [(0, 0, 1.0)])        # self loop
     with pytest.raises(ValueError):
         WeightedGraph(2, [(0, 1, -1.0), (1, 0, -1.0)])  # negative weight
-    with pytest.raises(ValueError):
-        WeightedGraph(2, [(0, 1, 1.0)], symmetric=True)  # missing mirror
     for weight in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             WeightedGraph(2, [(0, 1, weight), (1, 0, 1.0)])  # non-finite weight

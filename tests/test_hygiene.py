@@ -1,11 +1,14 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "mdrpp"
 TESTS = ROOT / "tests"
+BENCHMARK = ROOT / "benchmark"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +37,35 @@ def test_no_unused_module_level_imports():
     paths += sorted(TESTS.glob("*.py"))
     found = {str(p.relative_to(ROOT)): unused_imports(p.read_text()) for p in paths}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def imported(module: str, name: str):
+    """What `from module import name` binds; ImportError when there is nothing."""
+    source = importlib.import_module(module)
+    if hasattr(source, name):
+        return getattr(source, name)
+    return importlib.import_module(f"{module}.{name}")
+
+
+def test_benchmark_imports_resolve():
+    # a rename in the package would otherwise surface only as a failed benchmark run
+    missing = []
+    for path in sorted(BENCHMARK.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mdrpp":
+                for alias in node.names:
+                    try:
+                        value = imported(node.module, alias.name)
+                    except ImportError:
+                        missing.append(f"{path.name}: {node.module}.{alias.name}")
+                        continue
+                    if inspect.ismodule(value):
+                        modules[alias.asname or alias.name] = value
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules
+                    and not hasattr(modules[node.value.id], node.attr)):
+                missing.append(f"{path.name}: {node.value.id}.{node.attr}")
+    assert missing == []

@@ -10,6 +10,7 @@ from mdrpp import (
     Instance,
     InstanceError,
     RequiredEdge,
+    WeightedGraph,
     add_dummy_nodes,
     generate_instance,
     parse_carp_benchmark,
@@ -56,6 +57,10 @@ def test_parse_serialize_round_trip():
     assert inst.name == "golden-4"
     assert inst.depots == (0, 2)
     assert serialize_instance(inst) == GOLDEN
+    # a wind set without wind has mirrored arcs, and equals its re-parse
+    base = random_connected_graph(8, 11, seed=3, integer_weights=False)
+    calm = generate_instance(base, GenSpec(8, 11, seed=3, set_kind="C", wind_ratio=0.0))
+    assert parse_instance(serialize_instance(calm)) == calm
 
 
 def test_round_trip_on_corpus():
@@ -192,6 +197,21 @@ def test_generation_size_mismatch_raises():
         generate_instance(base, GenSpec(7, 8, seed=0))
 
 
+def test_generation_requires_mirrored_arcs():
+    for arcs in ([(0, 1, 1.0)], [(0, 1, 1.0), (1, 0, 2.0)]):  # no mirror, unequal mirror
+        with pytest.raises(InstanceError, match="symmetric"):
+            undirected_edges(WeightedGraph(2, arcs))
+    # a base graph that is one-way and disconnected is reported as one-way
+    with pytest.raises(InstanceError, match="symmetric"):
+        generate_instance(WeightedGraph(3, [(0, 1, 1.0)]), GenSpec(3, 1, seed=0))
+
+
+def test_random_connected_graph_needs_two_nodes():
+    for edges in (0, 2):
+        with pytest.raises(InstanceError, match="two nodes"):
+            random_connected_graph(1, edges, seed=1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=5000))
 def test_random_connected_graph_is_connected_and_sized(seed):
@@ -256,11 +276,10 @@ def test_validate_instance_findings():
     g = undirected_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])  # disconnected
     bad = Instance(graph=g, depots=(0,), required=(RequiredEdge(0, 1), RequiredEdge(1, 0)),
                    vehicles=1, capacity=9.0, recharge_time=0.0,
-                   start_depots=(2,))
+                   start_depots=(0,))
     findings = " | ".join(validate_instance(bad))
     assert "disconnected" in findings
     assert "duplicate" in findings
-    assert "not a depot" in findings
 
 
 def test_instance_constructor_guards():
@@ -280,3 +299,6 @@ def test_instance_constructor_guards():
     with pytest.raises(InstanceError):
         Instance(graph=g, depots=(0,), required=(), vehicles=1, capacity=1.0,
                  recharge_time=float("inf"), start_depots=(0,))
+    with pytest.raises(InstanceError, match="not a depot"):
+        Instance(graph=g, depots=(0,), required=(), vehicles=1, capacity=1.0,
+                 recharge_time=0.0, start_depots=(2,))
