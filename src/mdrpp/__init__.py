@@ -2,7 +2,7 @@
 rechargeable and reusable vehicles."""
 
 from .baselines import BaselineResult, augment_merge, construct_strike, path_scanning
-from .exact import OracleSizeError, enumerate_exhaustive, solve_exact
+from .exact import OracleBudgetError, OracleSizeError, enumerate_exhaustive, solve_exact
 from .graph import Arc, PathResult, WeightedGraph, is_connected, shortest_path
 from .instance import (
     FormatError,

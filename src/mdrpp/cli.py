@@ -16,7 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .baselines import augment_merge, construct_strike, path_scanning
-from .exact import OracleSizeError, solve_exact
+from .exact import OracleBudgetError, OracleSizeError, solve_exact
 from .instance import (
     GenSpec,
     InstanceError,
@@ -85,7 +85,10 @@ def _run_algorithm(inst, alg: str, time_budget: float):
         res = construct_strike(inst)
         return res.outcome, res.reason, None
     if alg == "exact":
-        out = solve_exact(inst, time_budget=time_budget)
+        try:
+            out = solve_exact(inst, time_budget=time_budget)
+        except OracleBudgetError:
+            return None, "time budget ran out before any feasible solution", None
         if out is None:
             return None, "no feasible solution within limits", None
         return out[0], None, out[1]

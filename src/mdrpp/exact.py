@@ -26,8 +26,12 @@ class OracleSizeError(ValueError):
     pass
 
 
+class OracleBudgetError(RuntimeError):
+    """The time budget ran out before the search found any feasible plan."""
+
+
 # ordered, oriented edge sequences one depot's trip list may enumerate: admits
-# 14 distinct required edges at the default trip size of 3
+# 14 undirected or 27 directed required edges at the default trip size of 3
 MAX_TRIP_SEQUENCES = 20_000
 
 
@@ -106,7 +110,8 @@ def solve_exact(inst: Instance, f_cap: int = 3, time_budget: float = 60.0,
 
     Trips cover at most `max_edges_per_trip` required edges (default
     min(|E_u|, 3)); raising it restores completeness at exponential cost.
-    Returns None when no feasible assignment exists within f_cap trips.
+    Returns None when no feasible assignment exists within f_cap trips, and
+    raises OracleBudgetError when the budget runs out before any is found.
     Raises OracleSizeError when one depot's trip list would enumerate more
     than MAX_TRIP_SEQUENCES ordered, oriented edge sequences.
     """
@@ -118,8 +123,13 @@ def solve_exact(inst: Instance, f_cap: int = 3, time_budget: float = 60.0,
     required = tuple(dict.fromkeys(inst.required))
     if max_edges_per_trip is None:
         max_edges_per_trip = min(len(required), 3) or 1
-    sequences = sum(math.perm(len(required), s) * 2 ** s
-                    for s in range(1, min(max_edges_per_trip, len(required)) + 1))
+    size = min(max_edges_per_trip, len(required))
+    # subsets[s]: sum over s-edge subsets of the product of orientation counts
+    subsets = [1] + [0] * size
+    for e in required:
+        for s in range(size, 0, -1):
+            subsets[s] += subsets[s - 1] * len(e.orientations())
+    sequences = sum(math.factorial(s) * subsets[s] for s in range(1, size + 1))
     if sequences > MAX_TRIP_SEQUENCES:
         raise OracleSizeError(
             f"{len(required)} required edges at {max_edges_per_trip} per trip give "
@@ -175,6 +185,8 @@ def solve_exact(inst: Instance, f_cap: int = 3, time_budget: float = 60.0,
 
     search(0, inst.start_depot(0), (), (1 << len(required)) - 1)
     if best_plan is None:
+        if not complete:
+            raise OracleBudgetError(f"no feasible plan found within {time_budget} s")
         return None
     return _materialize(inst, best_plan), complete
 

@@ -9,7 +9,7 @@ assignments travel as {variable name: value} dictionaries.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .instance import Instance, add_dummy_nodes
 from .solution import (
@@ -45,17 +45,6 @@ class TripCapExceeded(RuntimeError):
 
 
 @dataclass(frozen=True)
-class VarIndex:
-    kind: str  # 'x', 'y', 'z' or 'beta'
-    k: int = -1
-    f: int = -1
-    i: int = -1
-    j: int = -1
-    d: int = -1
-    arc: int = -1  # index into the model's canonical arc list ('x' only)
-
-
-@dataclass(frozen=True)
 class Column:
     name: str
     lower: float
@@ -77,50 +66,22 @@ class MilpModel:
     name: str
     columns: list[Column]
     rows: list[Row]
-    big_m: float
-    num_vehicles: int
     num_trips: int
-    var_index: list[VarIndex] = field(default_factory=list)
-    arcs: list[tuple[int, int, float]] = field(default_factory=list)
+    arcs: list[tuple[int, int, float]]  # x columns of each (k, f), in this order
 
 
-def _canonical_arcs(inst: Instance) -> list[tuple[int, int, float]]:
-    return sorted((a.frm, a.to, a.weight) for a in inst.graph.arcs)
-
-
-def _arc_names(arcs) -> list[str]:
-    seen: dict[tuple[int, int], int] = {}
-    names = []
-    for i, j, _ in arcs:
-        n = seen.get((i, j), 0)
-        seen[(i, j)] = n + 1
-        names.append(f"{i}_{j}" if n == 0 else f"{i}_{j}_p{n}")
-    return names
-
-
-def _columns(inst: Instance, num_trips: int):
-    arcs = _canonical_arcs(inst)
-    arc_names = _arc_names(arcs)
-    depots = sorted(inst.depots)
-    columns: list[Column] = []
-    var_index: list[VarIndex] = []
-    for k in range(inst.vehicles):
-        for f in range(num_trips):
-            for a, (i, j, _) in enumerate(arcs):
-                columns.append(Column(f"x_{k}_{f}_{arc_names[a]}", 0.0, 1.0, True, 0.0))
-                var_index.append(VarIndex("x", k=k, f=f, i=i, j=j, arc=a))
-    for k in range(inst.vehicles):
-        for f in range(num_trips):
-            for d in depots:
-                columns.append(Column(f"y_{k}_{f}_{d}", 0.0, 1.0, True, 0.0))
-                var_index.append(VarIndex("y", k=k, f=f, d=d))
-    for k in range(inst.vehicles):
-        for f in range(num_trips):
-            columns.append(Column(f"z_{k}_{f}", 0.0, 1.0, True, 0.0))
-            var_index.append(VarIndex("z", k=k, f=f))
-    columns.append(Column("beta", 0.0, float("inf"), False, 1.0))
-    var_index.append(VarIndex("beta"))
-    return arcs, depots, columns, var_index
+def _arc_table(inst: Instance):
+    """The model's arcs in column order, their column-name suffixes (`i_j`,
+    then `i_j_p1`, ... for parallel copies) and the ascending arc indices of
+    each (tail, head) pair."""
+    arcs = sorted((a.frm, a.to, a.weight) for a in inst.graph.arcs)
+    names: list[str] = []
+    copies: dict[tuple[int, int], list[int]] = {}
+    for a, (i, j, _) in enumerate(arcs):
+        ids = copies.setdefault((i, j), [])
+        names.append(f"{i}_{j}_p{len(ids)}" if ids else f"{i}_{j}")
+        ids.append(a)
+    return arcs, names, copies
 
 
 def count_columns(n_arcs: int, n_depots: int, vehicles: int, num_trips: int) -> int:
@@ -140,11 +101,16 @@ def build_model(inst: Instance, num_trips: int, subtour_mode: str = "full-enumer
         raise ValueError("trip count must be positive")
     if subtour_mode not in ("full-enumeration", "none"):
         raise ValueError(f"unknown subtour mode {subtour_mode!r}")
-    arcs, depots, columns, var_index = _columns(inst, num_trips)
+    arcs, names, copies = _arc_table(inst)
+    depots = sorted(inst.depots)
     depot_set = set(depots)
     K, F = inst.vehicles, num_trips
     n_arcs = len(arcs)
-    big_m = 2 * n_arcs + 1
+    trips = [(k, f) for k in range(K) for f in range(F)]
+    columns = [Column(f"x_{k}_{f}_{n}", 0.0, 1.0, True, 0.0) for k, f in trips for n in names]
+    columns += [Column(f"y_{k}_{f}_{d}", 0.0, 1.0, True, 0.0) for k, f in trips for d in depots]
+    columns += [Column(f"z_{k}_{f}", 0.0, 1.0, True, 0.0) for k, f in trips]
+    columns.append(Column("beta", 0.0, float("inf"), False, 1.0))
 
     def xcol(k: int, f: int, a: int) -> int:
         return (k * F + f) * n_arcs + a
@@ -166,6 +132,10 @@ def build_model(inst: Instance, num_trips: int, subtour_mode: str = "full-enumer
     for a, (i, j, _) in enumerate(arcs):
         arcs_out.setdefault(i, []).append(a)
         arcs_in.setdefault(j, []).append(a)
+    weighted = [(a, w) for a, (_, _, w) in enumerate(arcs) if w != 0.0]
+    # +1 leaving a depot, -1 entering one; arcs between two depots cancel
+    balance = [(a, 1.0 if i in depot_set else -1.0) for a, (i, j, _) in enumerate(arcs)
+               if (i in depot_set) != (j in depot_set)]
 
     rows: list[Row] = []
 
@@ -180,12 +150,11 @@ def build_model(inst: Instance, num_trips: int, subtour_mode: str = "full-enumer
             rows.append(Row(f"order_{k}_{f}", "G", 0.0,
                             ((zcol(k, f), 1.0), (zcol(k, f + 1), -1.0))))
     # (3) trip-end tracking per depot
-    for k in range(K):
-        for f in range(F):
-            for d in depots:
-                coeffs = [(xcol(k, f, a), 1.0) for a in arcs_in.get(d, [])]
-                coeffs.append((ycol(k, f, depot_pos[d]), -1.0))
-                rows.append(Row(f"end_{k}_{f}_{d}", "E", 0.0, tuple(coeffs)))
+    for k, f in trips:
+        for d in depots:
+            coeffs = [(xcol(k, f, a), 1.0) for a in arcs_in.get(d, [])]
+            coeffs.append((ycol(k, f, depot_pos[d]), -1.0))
+            rows.append(Row(f"end_{k}_{f}_{d}", "E", 0.0, tuple(coeffs)))
     # (4) trip chaining
     for k in range(K):
         for f in range(1, F):
@@ -194,80 +163,55 @@ def build_model(inst: Instance, num_trips: int, subtour_mode: str = "full-enumer
                 coeffs += [(xcol(k, f, a), -1.0) for a in arcs_out.get(d, [])]
                 rows.append(Row(f"chain_{k}_{f}_{d}", "G", 0.0, tuple(coeffs)))
     # (5) used trips end at exactly one depot
-    for k in range(K):
-        for f in range(F):
-            coeffs = [(zcol(k, f), 1.0)]
-            coeffs += [(ycol(k, f, di), -1.0) for di in range(len(depots))]
-            rows.append(Row(f"endexists_{k}_{f}", "E", 0.0, tuple(coeffs)))
+    for k, f in trips:
+        coeffs = [(zcol(k, f), 1.0)]
+        coeffs += [(ycol(k, f, di), -1.0) for di in range(len(depots))]
+        rows.append(Row(f"endexists_{k}_{f}", "E", 0.0, tuple(coeffs)))
     # (6) makespan including recharges
     for k in range(K):
         coeffs = []
         for f in range(F):
-            for a, (_, _, w) in enumerate(arcs):
-                if w != 0.0:
-                    coeffs.append((xcol(k, f, a), w))
+            coeffs += [(xcol(k, f, a), w) for a, w in weighted]
             if inst.recharge_time != 0.0:
                 coeffs.append((zcol(k, f), inst.recharge_time))
         coeffs.append((beta_col, -1.0))
         rows.append(Row(f"makespan_{k}", "L", inst.recharge_time, tuple(coeffs)))
     # (7) per-trip capacity
-    for k in range(K):
-        for f in range(F):
-            coeffs = [(xcol(k, f, a), w) for a, (_, _, w) in enumerate(arcs) if w != 0.0]
-            rows.append(Row(f"capacity_{k}_{f}", "L", inst.capacity, tuple(coeffs)))
+    for k, f in trips:
+        rows.append(Row(f"capacity_{k}_{f}", "L", inst.capacity,
+                        tuple((xcol(k, f, a), w) for a, w in weighted)))
     # (8) depot in/out balance per trip
-    for k in range(K):
-        for f in range(F):
-            bal: dict[int, float] = {}
-            for a, (i, j, _) in enumerate(arcs):
-                if i in depot_set:
-                    bal[xcol(k, f, a)] = bal.get(xcol(k, f, a), 0.0) + 1.0
-                if j in depot_set:
-                    bal[xcol(k, f, a)] = bal.get(xcol(k, f, a), 0.0) - 1.0
-            rows.append(Row(f"depotbal_{k}_{f}", "E", 0.0,
-                            tuple((c, v) for c, v in sorted(bal.items()) if v != 0.0)))
+    for k, f in trips:
+        rows.append(Row(f"depotbal_{k}_{f}", "E", 0.0,
+                        tuple((xcol(k, f, a), v) for a, v in balance)))
     # (9) flow conservation at non-depot nodes
-    for k in range(K):
-        for f in range(F):
-            for i in range(inst.graph.node_count):
-                if i in depot_set:
-                    continue
-                coeffs = [(xcol(k, f, a), 1.0) for a in arcs_out.get(i, [])]
-                coeffs += [(xcol(k, f, a), -1.0) for a in arcs_in.get(i, [])]
-                if coeffs:
-                    rows.append(Row(f"flow_{k}_{f}_{i}", "E", 0.0, tuple(coeffs)))
-    # (10) required-edge coverage, both orientations for undirected edges
+    for k, f in trips:
+        for i in range(inst.graph.node_count):
+            if i in depot_set:
+                continue
+            coeffs = [(xcol(k, f, a), 1.0) for a in arcs_out.get(i, [])]
+            coeffs += [(xcol(k, f, a), -1.0) for a in arcs_in.get(i, [])]
+            if coeffs:
+                rows.append(Row(f"flow_{k}_{f}_{i}", "E", 0.0, tuple(coeffs)))
+    # (10) required-edge coverage, by every copy of every orientation
     for r, e in enumerate(inst.required):
-        cols = []
-        for k in range(K):
-            for f in range(F):
-                for a, (i, j, _) in enumerate(arcs):
-                    if (i, j) == (e.frm, e.to) or (not e.directed and (i, j) == (e.to, e.frm)):
-                        cols.append((xcol(k, f, a), 1.0))
-        rows.append(Row(f"cover_{r}", "G", 1.0, tuple(cols)))
+        serving = sorted({a for o in e.orientations() for a in copies[o]})
+        rows.append(Row(f"cover_{r}", "G", 1.0,
+                        tuple((xcol(k, f, a), 1.0) for k, f in trips for a in serving)))
     # (11) trip-usage gating
-    for k in range(K):
-        for f in range(F):
-            coeffs = [(xcol(k, f, a), 1.0) for a in range(n_arcs)]
-            coeffs.append((zcol(k, f), -float(big_m)))
-            rows.append(Row(f"gate_{k}_{f}", "L", 0.0, tuple(coeffs)))
+    for k, f in trips:
+        coeffs = [(xcol(k, f, a), 1.0) for a in range(n_arcs)]
+        coeffs.append((zcol(k, f), -float(2 * n_arcs + 1)))
+        rows.append(Row(f"gate_{k}_{f}", "L", 0.0, tuple(coeffs)))
     # (12) subtour elimination, fully enumerated
     if subtour_mode == "full-enumeration":
-        rows.extend(_subtour_rows(inst, arcs, xcol, K, F, subtour_cap))
+        rows.extend(_subtour_rows(inst, arcs, copies, xcol, trips, subtour_cap))
 
-    return MilpModel(
-        name=inst.name or "mdrpprv",
-        columns=columns,
-        rows=rows,
-        big_m=float(big_m),
-        num_vehicles=K,
-        num_trips=F,
-        var_index=var_index,
-        arcs=list(arcs),
-    )
+    return MilpModel(name=inst.name or "mdrpprv", columns=columns, rows=rows,
+                     num_trips=F, arcs=arcs)
 
 
-def _subtour_rows(inst: Instance, arcs, xcol, K: int, F: int, cap: int) -> list[Row]:
+def _subtour_rows(inst: Instance, arcs, copies, xcol, trips, cap: int) -> list[Row]:
     depot_set = set(inst.depots)
     free_nodes = [n for n in range(inst.graph.node_count) if n not in depot_set]
     if len(free_nodes) > cap:
@@ -275,9 +219,6 @@ def _subtour_rows(inst: Instance, arcs, xcol, K: int, F: int, cap: int) -> list[
             f"{len(free_nodes)} non-depot nodes exceed the subtour enumeration cap "
             f"of {cap}; raise the cap or use subtour_mode='none'")
     oriented = [o for e in inst.required for o in e.orientations()]
-    arc_ids: dict[tuple[int, int], list[int]] = {}
-    for a, (i, j, _) in enumerate(arcs):
-        arc_ids.setdefault((i, j), []).append(a)
     rows: list[Row] = []
     n_row = 0
     for size in range(2, len(free_nodes) + 1):
@@ -288,15 +229,13 @@ def _subtour_rows(inst: Instance, arcs, xcol, K: int, F: int, cap: int) -> list[
                 continue
             crossing = [a for a, (i, j, _) in enumerate(arcs) if (i in s) != (j in s)]
             for anchor, (p, q) in enumerate(inside):
-                for copy_no, pq_arc in enumerate(arc_ids.get((p, q), [])):
-                    for k in range(K):
-                        for f in range(F):
-                            coeffs = {xcol(k, f, a): 1.0 for a in crossing}
-                            key = xcol(k, f, pq_arc)
-                            coeffs[key] = coeffs.get(key, 0.0) - 2.0
-                            rows.append(Row(
-                                f"subtour_{n_row}_{anchor}_{copy_no}_{k}_{f}",
-                                "G", 0.0, tuple(sorted(coeffs.items()))))
+                for copy_no, pq_arc in enumerate(copies[(p, q)]):
+                    for k, f in trips:
+                        coeffs = {xcol(k, f, a): 1.0 for a in crossing}
+                        key = xcol(k, f, pq_arc)
+                        coeffs[key] = coeffs.get(key, 0.0) - 2.0
+                        rows.append(Row(f"subtour_{n_row}_{anchor}_{copy_no}_{k}_{f}",
+                                        "G", 0.0, tuple(sorted(coeffs.items()))))
             n_row += 1
     return rows
 
@@ -409,12 +348,7 @@ def encode_solution(inst: Instance, sol: Solution) -> tuple[int, dict[str, float
     (the formulation's end-tracking rows admit exactly one depot entry per
     trip), so the returned trip count can exceed the solution's own.
     """
-    arcs = _canonical_arcs(inst)
-    arc_names = _arc_names(arcs)
-    cheapest: dict[tuple[int, int], tuple[float, int]] = {}
-    for a, (i, j, w) in enumerate(arcs):
-        if (i, j) not in cheapest or w < cheapest[(i, j)][0]:
-            cheapest[(i, j)] = (w, a)
+    arcs, names, copies = _arc_table(inst)
     depot_set = set(inst.depots)
 
     split_routes: list[list[tuple[int, ...]]] = []
@@ -442,16 +376,16 @@ def encode_solution(inst: Instance, sol: Solution) -> tuple[int, dict[str, float
             used: set[int] = set()
             d = 0.0
             for i, j in zip(seg, seg[1:]):
-                if (i, j) not in cheapest:
+                if (i, j) not in copies:
                     raise EncodeError(f"walk uses non-arc ({i},{j})")
-                w, a = cheapest[(i, j)]
+                w, a = min((arcs[b][2], b) for b in copies[(i, j)])
                 if a in used:
                     raise EncodeError(
                         f"vehicle {k} trip {f}: arc ({i},{j}) traversed twice; "
                         "binary arc variables cannot express this walk")
                 used.add(a)
                 d += w
-                assignment[f"x_{k}_{f}_{arc_names[a]}"] = 1.0
+                assignment[f"x_{k}_{f}_{names[a]}"] = 1.0
             assignment[f"z_{k}_{f}"] = 1.0
             assignment[f"y_{k}_{f}_{seg[-1]}"] = 1.0
             durations.append(d)
@@ -462,8 +396,7 @@ def encode_solution(inst: Instance, sol: Solution) -> tuple[int, dict[str, float
 
 def decode_solution(inst: Instance, num_trips: int, assignment: dict[str, float]) -> Solution:
     """Rebuild trips from an assignment by Eulerian walk extraction."""
-    arcs = _canonical_arcs(inst)
-    arc_names = _arc_names(arcs)
+    arcs, names, _ = _arc_table(inst)
     routes = []
     beta = assignment.get("beta", 0.0)
     for k in range(inst.vehicles):
@@ -472,8 +405,8 @@ def decode_solution(inst: Instance, num_trips: int, assignment: dict[str, float]
         for f in range(num_trips):
             if assignment.get(f"z_{k}_{f}", 0.0) < 1 - INT_TOL:
                 break
-            chosen = [a for a in range(len(arcs))
-                      if assignment.get(f"x_{k}_{f}_{arc_names[a]}", 0.0) > 1 - INT_TOL]
+            chosen = [a for a, n in enumerate(names)
+                      if assignment.get(f"x_{k}_{f}_{n}", 0.0) > 1 - INT_TOL]
             end = [d for d in sorted(inst.depots)
                    if assignment.get(f"y_{k}_{f}_{d}", 0.0) > 1 - INT_TOL]
             if len(end) != 1:
@@ -487,7 +420,7 @@ def decode_solution(inst: Instance, num_trips: int, assignment: dict[str, float]
             pos = end[0]
         routes.append(Route(k, tuple(trips)))
     makespan = worst_route_time(routes, inst.recharge_time)
-    if abs(makespan - beta) > 1e-6 and beta:
+    if abs(makespan - beta) > INT_TOL and beta:
         raise DecodeError(f"decoded makespan {makespan} disagrees with beta {beta}")
     return Solution(tuple(routes), makespan, ())
 

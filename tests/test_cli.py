@@ -1,13 +1,14 @@
 """Command-line front end: verbs, exit codes, file side effects, CSV schema."""
 
 import csv
+import itertools
 
 import pytest
 
-from mdrpp import cli, parse_instance, serialize_instance
+from mdrpp import Instance, RequiredEdge, cli, exact, parse_instance, serialize_instance
 from mdrpp.cli import main
 
-from conftest import tiny_corpus, trivial_instance, two_vehicle_instance
+from conftest import tiny_corpus, trivial_instance, two_vehicle_instance, undirected_graph
 
 
 def run(capsys, *argv):
@@ -74,6 +75,30 @@ def test_solve_exact_reports_optimal_flag(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", inst_path, "exact")
     assert code == 0
     assert out.split()[-1] == "optimal"
+
+
+def test_exact_unsolved_tells_infeasible_from_out_of_time(tmp_path, capsys, monkeypatch):
+    # the required edge's round trip exceeds capacity from the only depot
+    g = undirected_graph(3, [(0, 1, 5.0), (1, 2, 5.0)])
+    infeasible = Instance(graph=g, depots=(0,), required=(RequiredEdge(1, 2),), vehicles=1,
+                          capacity=6.0, recharge_time=1.0, start_depots=(0,))
+    inst_path = write_instance(tmp_path, infeasible)
+    sol_path = str(tmp_path / "infeasible.sol")
+    code, out, _ = run(capsys, "solve", inst_path, "exact", "--out", sol_path)
+    assert code == 0 and out.split()[2] == "-"
+    assert open(sol_path).read() == "UNSOLVED no feasible solution within limits\n"
+
+    slow_path = str(tmp_path / "b20.inst")
+    run(capsys, "--seed", "1", "generate", "--nodes", "20", "--edges", "37", "--set", "B",
+        "--float-weights", "--min-weight", "0.5", "--max-weight", "3", "--out", slow_path)
+    clock = itertools.count()  # one second per reading
+    monkeypatch.setattr(exact.time, "monotonic", lambda: float(next(clock)))
+    sol_path = str(tmp_path / "budget.sol")
+    code, out, _ = run(capsys, "--time-budget", "100", "solve", slow_path, "exact",
+                       "--out", sol_path)
+    assert code == 0 and out.split()[2] == "-"
+    assert open(sol_path).read() == (
+        "UNSOLVED time budget ran out before any feasible solution\n")
 
 
 def test_solve_unsolved_writes_reason_and_exits_zero(tmp_path, capsys):

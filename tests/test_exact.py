@@ -7,6 +7,7 @@ import pytest
 from mdrpp import (
     GenSpec,
     Instance,
+    OracleBudgetError,
     OracleSizeError,
     RequiredEdge,
     WeightedGraph,
@@ -201,17 +202,17 @@ def test_solve_exact_rejects_a_time_budget_that_is_not_positive():
             solve_exact(inst, time_budget=budget)
 
 
-def set_b_instance(nodes: int):
-    """Seed-1 set-B instance with about 1.9 edges per node, as from
-    `generate --nodes N --edges 15N/8 --float-weights --min-weight 0.5 --max-weight 3`."""
+def seed1_instance(nodes: int, set_kind: str = "B"):
+    """Seed-1 instance with about 1.9 edges per node, as from `generate --nodes N
+    --edges 15N/8 --set S --float-weights --min-weight 0.5 --max-weight 3`."""
     edges = 15 * nodes // 8
     base = random_connected_graph(nodes, edges, 1, integer_weights=False,
                                   min_weight=0.5, max_weight=3.0)
-    return generate_instance(base, GenSpec(nodes, edges, 1, set_kind="B"))
+    return generate_instance(base, GenSpec(nodes, edges, 1, set_kind=set_kind))
 
 
 def test_solve_exact_size_guard():
-    inst = set_b_instance(30)  # 19 required edges
+    inst = seed1_instance(30)  # 19 required edges
     with pytest.raises(OracleSizeError, match="trip sequences"):
         solve_exact(inst, time_budget=0.5)
 
@@ -219,10 +220,22 @@ def test_solve_exact_size_guard():
 def test_solve_exact_stops_building_trips_at_the_deadline(monkeypatch):
     clock = itertools.count()  # one second per reading
     monkeypatch.setattr(exact.time, "monotonic", lambda: float(next(clock)))
-    inst = set_b_instance(20)  # 12 required edges: 1464 edge orders per depot
-    assert solve_exact(inst, time_budget=100.0) is None
+    inst = seed1_instance(20)  # 12 required edges: 1464 edge orders per depot
+    with pytest.raises(OracleBudgetError):
+        solve_exact(inst, time_budget=100.0)
     # once the deadline passes, the trip builder and every search frame stop
     assert next(clock) < 120
+
+
+def test_size_cap_counts_one_orientation_per_directed_edge(monkeypatch):
+    # 15 directed required edges give 15 + 210 + 2730 sequences of up to 3
+    # edges; counting two orientations each would make it 22,710
+    inst = seed1_instance(24, "C")
+    assert len(inst.required) == 15 and all(e.directed for e in inst.required)
+    clock = itertools.count()
+    monkeypatch.setattr(exact.time, "monotonic", lambda: float(next(clock)))
+    with pytest.raises(OracleBudgetError):
+        solve_exact(inst, time_budget=50.0)
 
 
 def test_duplicate_required_edges_collapse():

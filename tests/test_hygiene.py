@@ -1,9 +1,14 @@
-"""Source hygiene checks that need only the standard library."""
+"""Source hygiene checks, and a seed-0 sample of the benchmark against its reference."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
+import json
+import sys
 from pathlib import Path
+
+from mdrpp import add_dummy_nodes, parse_instance
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "mdrpp"
@@ -69,3 +74,50 @@ def test_benchmark_imports_resolve():
                     and not hasattr(modules[node.value.id], node.attr)):
                 missing.append(f"{path.name}: {node.value.id}.{node.attr}")
     assert missing == []
+
+
+def benchmark_sample(workloads, tmp_path):
+    """(workload name, operations) of a sample of each seed-0 workload: the
+    first 30 tiny-oracle instances (milp-export only where the dummy-node
+    model has at most 7 non-depot nodes), the offset-1 baselines-mix instance
+    of each set and the first mt-ladder instance."""
+    wls = workloads.WORKLOADS
+    tiny = workloads.write_instances(workloads.build(wls["tiny-oracle"].plan(0)[:30]), tmp_path)
+    small = set()
+    for name, path, _ in tiny:
+        prepped, _ = add_dummy_nodes(parse_instance(Path(path).read_text()))
+        if prepped.graph.node_count - len(prepped.depots) <= 7:
+            small.add(name)
+    mix = [p for p in wls["baselines-mix"].plan(0) if p[1][2] == 1]
+    ladder = wls["mt-ladder"].plan(0)[:1]
+    return [
+        ("tiny-oracle", [op for op in wls["tiny-oracle"].ops(tiny)
+                         if op.kind != "milp-export" or op.id.split(":")[1] in small]),
+        ("baselines-mix", wls["baselines-mix"].ops(
+            workloads.write_instances(workloads.build(mix), tmp_path))),
+        ("mt-ladder", wls["mt-ladder"].ops(
+            workloads.write_instances(workloads.build(ladder), tmp_path))),
+    ]
+
+
+def test_benchmark_outcomes_match_the_reference(tmp_path, monkeypatch):
+    # the benchmark fails an operation that raises, reports a finding other
+    # than its documented encoder rejection, or whose outcome string (with the
+    # CRC of the LP/MPS text) differs from the recorded seed-0 reference
+    spec = importlib.util.spec_from_file_location("workloads", BENCHMARK / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    recorded = json.loads((BENCHMARK / "reference.json").read_text())
+    assert recorded["seed"] == 0
+    problems = []
+    for wl, ops in benchmark_sample(workloads, tmp_path):
+        reference = recorded["outcomes"][wl]
+        ctx = {}
+        for op in ops:
+            res = workloads.OP_KINDS[op.kind](op, ctx)
+            if res.outcome != reference.get(op.id):
+                problems.append(f"{op.id}: {res.outcome!r} != {reference.get(op.id)!r}")
+            elif res.failures and not res.known:
+                problems.append(f"{op.id}: {res.failures[0]}")
+    assert problems == []

@@ -48,23 +48,53 @@ def test_column_count_formula():
 
 
 def test_variable_families_and_bounds():
-    _, model = small_model()
+    inst, model = small_model()
     kinds = {}
-    for col, vi in zip(model.columns, model.var_index):
-        kinds.setdefault(vi.kind, 0)
-        kinds[vi.kind] += 1
-        if vi.kind == "beta":
+    for col in model.columns:
+        kind = col.name.split("_", 1)[0]
+        kinds[kind] = kinds.get(kind, 0) + 1
+        if kind == "beta":
             assert not col.integer and col.objective == 1.0
         else:
             assert col.integer and (col.lower, col.upper) == (0.0, 1.0)
+    assert kinds.keys() == {"x", "y", "z", "beta"}
     assert kinds["beta"] == 1
-    assert kinds["x"] == model.num_vehicles * model.num_trips * len(model.arcs)
-    assert kinds["z"] == model.num_vehicles * model.num_trips
+    assert kinds["x"] == inst.vehicles * model.num_trips * len(model.arcs)
+    assert kinds["y"] == inst.vehicles * model.num_trips * len(inst.depots)
+    assert kinds["z"] == inst.vehicles * model.num_trips
 
 
 def test_big_m_is_twice_arc_count_plus_one():
     inst, model = small_model()
-    assert model.big_m == 2 * len(inst.graph.arcs) + 1
+    big_m = 2 * len(inst.graph.arcs) + 1
+    gates = [row for row in model.rows if row.name.startswith("gate_")]
+    assert len(gates) == inst.vehicles * model.num_trips
+    for row in gates:
+        z = "z_" + row.name.split("_", 1)[1]
+        assert [c for col, c in row.coeffs if model.columns[col].name == z] == [-big_m]
+
+
+def test_parallel_copies_of_a_required_edge():
+    # the required edge (1, 2) has two copies; sorted arcs put the cheaper first
+    g = undirected_graph(4, [(0, 1, 1.0), (1, 2, 2.0), (1, 2, 1.5), (2, 3, 1.0), (3, 0, 1.0)])
+    inst = Instance(graph=g, depots=(0,), required=(RequiredEdge(1, 2),), vehicles=2,
+                    capacity=20.0, recharge_time=0.5, start_depots=(0, 0))
+    model = build_model(inst, 2)
+    names = [c.name for c in model.columns]
+    cover = next(row for row in model.rows if row.name == "cover_0")
+    assert [names[col] for col, _ in cover.coeffs] == [
+        f"x_{k}_{f}_{arc}" for k in range(2) for f in range(2)
+        for arc in ("1_2", "1_2_p1", "2_1", "2_1_p1")]
+
+    from mdrpp import Route, Solution, Trip
+
+    walk = (0, 1, 2, 3, 0)
+    sol = Solution((Route(0, (Trip(walk, 4.5, (RequiredEdge(1, 2),)),)), Route(1, ())),
+                   4.5, ())
+    num_trips, assignment = encode_solution(inst, sol)
+    assert assignment["x_0_0_1_2"] == 1.0 and "x_0_0_1_2_p1" not in assignment
+    assert assignment["beta"] == pytest.approx(4.5)
+    assert check_assignment(build_model(inst, num_trips), assignment) == []
 
 
 def test_build_model_input_guards():
