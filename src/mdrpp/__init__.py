@@ -1,7 +1,7 @@
 """Solver toolkit for the multi-depot rural postman problem with
 rechargeable and reusable vehicles."""
 
-from .baselines import BaselineResult, augment_merge, construct_strike, path_scanning
+from .baselines import augment_merge, construct_strike, path_scanning
 from .exact import OracleBudgetError, OracleSizeError, enumerate_exhaustive, solve_exact
 from .graph import Arc, PathResult, WeightedGraph, is_connected, shortest_path
 from .instance import (
@@ -30,12 +30,7 @@ from .milp import (
     write_lp,
     write_mps,
 )
-from .multitrip import (
-    closest_feasible_depot,
-    closest_feasible_edge,
-    initial_fleet_state,
-    solve_multitrip,
-)
+from .multitrip import solve_multitrip
 from .solution import (
     Route,
     Solution,

@@ -2,14 +2,13 @@
 
 All three reuse the multi-trip route semantics (`multitrip.FleetState`: trips
 chain depot to depot, full recharge between trips) so results are comparable
-with the multi-trip solver.  Failure to cover every required edge is an
-Unsolved value, never an exception.
+with the multi-trip solver.  Each returns a complete `Solution` or the
+Unsolved reason as a string, never an exception.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .graph import Arc, DistanceTables, WeightedGraph, _lex_dijkstra, path_from_parents
 from .instance import Instance
@@ -17,17 +16,6 @@ from .multitrip import FleetState, initial_fleet_state
 from .solution import EPS, Solution, Trip, covered_by_walk, trip_from_walk
 
 CRITERIA = 5
-
-
-@dataclass(frozen=True)
-class BaselineResult:
-    outcome: Solution | None
-    reason: str | None = None
-    criterion_used: int | None = None
-
-    @property
-    def solved(self) -> bool:
-        return self.outcome is not None
 
 
 def _splice(nodes: tuple[int, ...], artificial: dict[tuple[int, int], tuple[int, ...]]
@@ -117,12 +105,13 @@ def _build_trip(tables: DistanceTables, candidates, inst: Instance, start: int,
     return trip_from_walk(inst, real, duration)
 
 
-def _scan_full(tables: DistanceTables, candidates, inst: Instance, state: FleetState,
-               criterion: int, artificial) -> None:
+def _scan_full(tables: DistanceTables, candidates, state: FleetState, criterion: int,
+               artificial) -> None:
     """Run path scanning until no vehicle can add a covering trip.
 
     Mutates state; a vehicle that cannot add one is marked infeasible.
     """
+    inst = state.inst
     budget = 10 * max(1, len(inst.required)) + len(state.vehicles)
     positions, is_open = inst.required_positions, state.is_open
     steps = 0
@@ -139,28 +128,28 @@ def _scan_full(tables: DistanceTables, candidates, inst: Instance, state: FleetS
         if trip is None or not any(is_open[pos] for e in trip.covered for pos in positions[e]):
             veh.infeasible = True
             continue
-        state.commit(k, trip, inst.recharge_time)
+        state.commit(k, trip)
 
 
-def path_scanning(inst: Instance) -> BaselineResult:
-    """Run all five scanning criteria; keep the lowest-makespan complete result."""
+def path_scanning(inst: Instance) -> Solution | str:
+    """Run all five criteria; keep the lowest-makespan complete result, first on ties."""
     tables = DistanceTables(inst.graph, inst.start_depots)
     candidates = _candidates(tables, inst)
-    best: tuple[float, int, Solution] | None = None
+    best: Solution | None = None
     for criterion in range(CRITERIA):
         state = initial_fleet_state(inst)
-        _scan_full(tables, candidates, inst, state, criterion, {})
+        _scan_full(tables, candidates, state, criterion, {})
         if state.remaining:
             continue
-        sol = state.solution(inst.recharge_time)
-        if best is None or (sol.makespan, criterion) < (best[0], best[1]):
-            best = (sol.makespan, criterion, sol)
+        sol = state.solution()
+        if best is None or sol.makespan < best.makespan:
+            best = sol
     if best is None:
-        return BaselineResult(None, reason="no criterion covered every required edge")
-    return BaselineResult(best[2], criterion_used=best[1])
+        return "no criterion covered every required edge"
+    return best
 
 
-def augment_merge(inst: Instance) -> BaselineResult:
+def augment_merge(inst: Instance) -> Solution | str:
     """Augment: one depot round trip per required edge; merge: concatenate
     routes anchored at the same depot while a single trip stays feasible."""
     anchors = sorted(set(inst.start_depots))
@@ -190,8 +179,7 @@ def augment_merge(inst: Instance) -> BaselineResult:
                 if cost <= inst.capacity + EPS and (best is None or cost < best[0]):
                     best = (cost, d, (tail, head))
         if best is None:
-            return BaselineResult(
-                None, reason=f"required edge ({e.frm},{e.to}) unreachable within capacity")
+            return f"required edge ({e.frm},{e.to}) unreachable within capacity"
         routes.append((best[1], [best[2]], best[0]))
 
     merged = True
@@ -227,11 +215,11 @@ def augment_merge(inst: Instance) -> BaselineResult:
             walk = walk + path_from_parents(tables.row(walk[-1])[1], walk[-1], tail)[1:] + (head,)
         walk = walk + path_from_parents(tables.row(walk[-1])[1], walk[-1], depot)[1:]
         trip = trip_from_walk(inst, walk, cost)
-        state.commit(state.next_vehicle(by_depot[depot]), trip, inst.recharge_time)
-    return BaselineResult(state.solution(inst.recharge_time))
+        state.commit(state.next_vehicle(by_depot[depot]), trip)
+    return state.solution()
 
 
-def construct_strike(inst: Instance) -> BaselineResult:
+def construct_strike(inst: Instance) -> Solution | str:
     """Alternate path-scanning passes with striking the traversed edges.
 
     When striking disconnects every start depot from the remaining required
@@ -248,7 +236,7 @@ def construct_strike(inst: Instance) -> BaselineResult:
     while state.remaining:
         passes += 1
         if passes > max_passes:
-            return BaselineResult(None, reason="pass budget exhausted")
+            return "pass budget exhausted"
         # all five criteria scan the same residual graph
         residual = WeightedGraph(node_count, residual_arcs)
         tables = DistanceTables(residual, inst.start_depots)
@@ -258,23 +246,23 @@ def construct_strike(inst: Instance) -> BaselineResult:
             trial = state.copy()
             for v in trial.vehicles:
                 v.infeasible = False
-            _scan_full(tables, candidates, inst, trial, criterion, artificial)
+            _scan_full(tables, candidates, trial, criterion, artificial)
             progress = state.remaining - trial.remaining
             if progress == 0:
                 continue
-            key = (-progress, trial.solution(inst.recharge_time).makespan, criterion)
+            key = (-progress, trial.solution().makespan, criterion)
             if best is None or key < best[0]:
                 best = (key, trial)
         if best is None:
             if not _add_artificial_edges(inst, tables, residual_arcs, artificial,
                                          state.uncovered):
-                return BaselineResult(None, reason="no progress after striking")
+                return "no progress after striking"
             continue
         state = best[1]
         struck = _walk_arcs(state)
         residual_arcs = [a for a in residual_arcs
                          if (a.frm, a.to) not in struck and (a.to, a.frm) not in struck]
-    return BaselineResult(state.solution(inst.recharge_time))
+    return state.solution()
 
 
 def _walk_arcs(state: FleetState) -> set[tuple[int, int]]:

@@ -72,18 +72,6 @@ def _positive_int(text: str) -> int:
 
 def _run_algorithm(inst, alg: str, time_budget: float):
     """Returns (Solution | None, reason | None, optimal_flag | None)."""
-    if alg == "mt":
-        sol = solve_multitrip(inst)
-        return sol, None, None
-    if alg == "ps":
-        res = path_scanning(inst)
-        return res.outcome, res.reason, None
-    if alg == "am":
-        res = augment_merge(inst)
-        return res.outcome, res.reason, None
-    if alg == "cs":
-        res = construct_strike(inst)
-        return res.outcome, res.reason, None
     if alg == "exact":
         try:
             out = solve_exact(inst, time_budget=time_budget)
@@ -92,7 +80,13 @@ def _run_algorithm(inst, alg: str, time_budget: float):
         if out is None:
             return None, "no feasible solution within limits", None
         return out[0], None, out[1]
-    raise ValueError(f"unknown algorithm {alg!r}")
+    # built at each call, so a solver name rebound on this module (by a tracer) is used
+    solver = {"mt": solve_multitrip, "ps": path_scanning, "am": augment_merge,
+              "cs": construct_strike}.get(alg)
+    if solver is None:
+        raise ValueError(f"unknown algorithm {alg!r}")
+    out = solver(inst)
+    return (None, out, None) if isinstance(out, str) else (out, None, None)
 
 
 def cmd_generate(args) -> int:

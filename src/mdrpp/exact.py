@@ -145,15 +145,17 @@ def solve_exact(inst: Instance, f_cap: int = 3, time_budget: float = 60.0,
     done: list[tuple[_TripPlan, ...]] = []  # trips of vehicles 0..k
     times: list[float] = []  # their route times
 
-    def search(k: int, depot: int, trips: tuple[_TripPlan, ...], remaining: int) -> None:
-        """Vehicle k, at `depot` after `trips`, either stops and hands the
-        required edges in the `remaining` mask to vehicle k + 1, or takes one
-        more trip."""
+    def search(k: int, depot: int, trips: tuple[_TripPlan, ...], spent: float,
+               remaining: int) -> None:
+        """Vehicle k, at `depot` after `trips` of total duration `spent`,
+        either stops and hands the required edges in the `remaining` mask to
+        vehicle k + 1, or takes one more trip."""
         nonlocal best_plan, best_value, complete
         if time.monotonic() > deadline:
             complete = False
             return
-        t_here = route_time([t.duration for t in trips], inst.recharge_time)
+        # summed left to right, as route_time's `sum` adds before Python 3.12
+        t_here = spent + (len(trips) - 1) * inst.recharge_time if trips else 0.0
         # any remaining edge costs at least its cheapest covering trip,
         # whichever vehicle ends up taking it
         lb = max([t_here, *times,
@@ -163,7 +165,7 @@ def solve_exact(inst: Instance, f_cap: int = 3, time_budget: float = 60.0,
         done.append(trips)
         times.append(t_here)
         if k + 1 < inst.vehicles:
-            search(k + 1, inst.start_depot(k + 1), (), remaining)
+            search(k + 1, inst.start_depot(k + 1), (), 0.0, remaining)
         elif not remaining:
             best_value = lb
             best_plan = [list(p) for p in done]
@@ -179,11 +181,12 @@ def solve_exact(inst: Instance, f_cap: int = 3, time_budget: float = 60.0,
             options[depot] = built
         for plan, mask in options[depot]:
             if mask & remaining == mask:
-                search(k, plan.end_depot, trips + (plan,), remaining & ~mask)
+                search(k, plan.end_depot, trips + (plan,), spent + plan.duration,
+                       remaining & ~mask)
                 if not complete:
                     return
 
-    search(0, inst.start_depot(0), (), (1 << len(required)) - 1)
+    search(0, inst.start_depot(0), (), 0.0, (1 << len(required)) - 1)
     if best_plan is None:
         if not complete:
             raise OracleBudgetError(f"no feasible plan found within {time_budget} s")

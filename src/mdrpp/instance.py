@@ -148,6 +148,18 @@ def _canonical_required(required) -> tuple[RequiredEdge, ...]:
     return tuple(out)
 
 
+# values of each fixed-length directive; NAME, DEPOTS and START take any number
+_VALUE_COUNTS = {"NODES": 1, "VEHICLES": 1, "CAPACITY": 1, "RECHARGE": 1, "ARC": 3}
+
+
+def _required_edge(tokens: list[str], line_no: int) -> RequiredEdge:
+    """The edge of a REQ or UNCOVERED line: two end nodes, then DIR when directed."""
+    if len(tokens) > 4 or len(tokens) == 4 and tokens[3].upper() != "DIR":
+        raise FormatError(line_no, f"{tokens[0]} takes two nodes and an optional DIR, "
+                                   f"not {' '.join(tokens[1:])!r}")
+    return RequiredEdge(int(tokens[1]), int(tokens[2]), len(tokens) == 4)
+
+
 def parse_instance(text: str) -> Instance:
     node_count = None
     depots: list[int] = []
@@ -165,6 +177,9 @@ def parse_instance(text: str) -> Instance:
             continue
         tokens = line.split()
         kind = tokens[0].upper()
+        count = _VALUE_COUNTS.get(kind)
+        if count is not None and len(tokens) > count + 1:
+            raise FormatError(line_no, f"{kind} takes {count} value(s), not {len(tokens) - 1}")
         try:
             if kind == "MDRPPRV":
                 saw_header = True
@@ -188,8 +203,7 @@ def parse_instance(text: str) -> Instance:
                     raise FormatError(line_no, f"ARC weight {weight} is negative or not finite")
                 arcs.append(Arc(int(tokens[1]), int(tokens[2]), weight))
             elif kind == "REQ":
-                directed = len(tokens) > 3 and tokens[3].upper() == "DIR"
-                required.append(RequiredEdge(int(tokens[1]), int(tokens[2]), directed))
+                required.append(_required_edge(tokens, line_no))
             else:
                 raise FormatError(line_no, f"unknown directive {tokens[0]!r}")
         except FormatError:

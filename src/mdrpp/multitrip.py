@@ -122,7 +122,6 @@ class FleetState:
     vehicles: list[VehicleState]
     is_open: list[bool]
     remaining: int
-    queues: TripQueues | None = None
 
     @property
     def uncovered(self) -> list[RequiredEdge]:
@@ -130,7 +129,7 @@ class FleetState:
         return [e for e, is_open in zip(self.inst.required, self.is_open) if is_open]
 
     def copy(self) -> FleetState:
-        """Copy of the vehicles and the coverage, without trip queues."""
+        """Copy of the vehicles and the coverage."""
         vehicles = [replace(v, trips=list(v.trips)) for v in self.vehicles]
         return FleetState(self.inst, vehicles, list(self.is_open), self.remaining)
 
@@ -149,12 +148,12 @@ class FleetState:
                 best = k
         return best
 
-    def commit(self, k: int, trip: Trip, recharge_time: float) -> None:
+    def commit(self, k: int, trip: Trip) -> None:
         """Append trip to vehicle k's route and credit the edges it covers."""
         veh = self.vehicles[k]
         # two additions, not one: the rounding decides availability ties
         if veh.trips:
-            veh.available += recharge_time
+            veh.available += self.inst.recharge_time
         veh.available += trip.duration
         veh.location = trip.nodes[-1]
         veh.trips.append(trip)
@@ -165,9 +164,9 @@ class FleetState:
                     is_open[pos] = False
                     self.remaining -= 1
 
-    def solution(self, recharge_time: float) -> Solution:
+    def solution(self) -> Solution:
         routes = tuple(Route(k, tuple(v.trips)) for k, v in enumerate(self.vehicles))
-        return Solution(routes, worst_route_time(routes, recharge_time),
+        return Solution(routes, worst_route_time(routes, self.inst.recharge_time),
                         tuple(self.uncovered))
 
 
@@ -180,21 +179,15 @@ def _edge_distance(costs: list[float], e: RequiredEdge) -> float:
     return min(costs[e.frm], costs[e.to])
 
 
-def closest_feasible_edge(inst: Instance, state: FleetState, k: int,
-                          tables: DistanceTables | None = None
+def closest_feasible_edge(state: FleetState, k: int, queues: TripQueues
                           ) -> tuple[RequiredEdge, Trip] | None:
     """Cheapest single-trip coverage of a remaining required edge by vehicle k.
 
     A candidate trip is shortest path to the edge tail, the edge itself, then
     shortest path from the head to the nearest depot; both orientations are
     tried for undirected edges.  Ties break on (duration, edge index,
-    orientation).  The state's own trip queues answer when it has them;
-    otherwise one-off queues are built over `tables`.
+    orientation).  `queues` must read the open flags of `state`.
     """
-    queues = state.queues
-    if queues is None:
-        queues = TripQueues(inst, tables or DistanceTables(inst.graph, inst.depots),
-                            state.is_open)
     location = state.vehicles[k].location
     top = queues.cheapest(location)
     if top is None:
@@ -202,20 +195,18 @@ def closest_feasible_edge(inst: Instance, state: FleetState, k: int,
     duration, pos, _, tail, head = top
     nodes = path_from_parents(queues.tables.run(location).parents, location, tail)
     nodes = nodes + (head,) + queues.tables.return_walk(head)[1:]
-    return inst.required[pos], trip_from_walk(inst, nodes, duration)
+    return state.inst.required[pos], trip_from_walk(state.inst, nodes, duration)
 
 
-def closest_feasible_depot(inst: Instance, state: FleetState, k: int,
-                           target: RequiredEdge,
-                           tables: DistanceTables | None = None
-                           ) -> tuple[int, Trip] | None:
+def closest_feasible_depot(state: FleetState, k: int, target: RequiredEdge,
+                           tables: DistanceTables) -> tuple[int, Trip] | None:
     """Reachable depot strictly closer to the target edge, best first.
 
     Closeness is shortest-path distance to the nearer endpoint of the target;
     ties break on the smaller depot id.  Returns None when no reachable depot
     improves on the vehicle's current distance.
     """
-    tables = tables or DistanceTables(inst.graph, inst.depots)
+    inst = state.inst
     veh = state.vehicles[k]
     costs, parents = tables.row(veh.location)
     current = _edge_distance(costs, target)
@@ -242,7 +233,7 @@ def solve_multitrip(inst: Instance) -> Solution:
     """Run the constructive heuristic; partial coverage yields a partial Solution."""
     tables = DistanceTables(inst.graph, inst.depots)
     state = initial_fleet_state(inst)
-    state.queues = TripQueues(inst, tables, state.is_open)
+    queues = TripQueues(inst, tables, state.is_open)
     # every covering trip closes an edge, and a vehicle's target changes only
     # when an edge closes; so between two closings each vehicle makes at most
     # |D| strictly-closer hops and one retirement.  More dispatches in a row
@@ -258,19 +249,19 @@ def solve_multitrip(inst: Instance) -> Solution:
         stalled += 1
         if stalled > stall_limit:
             raise RuntimeError("multi-trip heuristic failed to make progress")
-        hit = closest_feasible_edge(inst, state, k, tables)
+        hit = closest_feasible_edge(state, k, queues)
         if hit is not None:
-            state.commit(k, hit[1], inst.recharge_time)
+            state.commit(k, hit[1])
             continue
         veh = state.vehicles[k]
         if veh.target is None or not state.is_open[veh.target]:
             veh.target = _closest_uncovered(state, k, tables)
-        move = closest_feasible_depot(inst, state, k, inst.required[veh.target], tables)
+        move = closest_feasible_depot(state, k, inst.required[veh.target], tables)
         if move is None:
             veh.infeasible = True
             continue
-        state.commit(k, move[1], inst.recharge_time)
-    return state.solution(inst.recharge_time)
+        state.commit(k, move[1])
+    return state.solution()
 
 
 def _closest_uncovered(state: FleetState, k: int, tables: DistanceTables) -> int:

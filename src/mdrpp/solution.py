@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .instance import Instance, RequiredEdge
+from .instance import FormatError, Instance, RequiredEdge, _required_edge
 
 EPS = 1e-9
 DURATION_TOL = 1e-6
@@ -192,6 +192,8 @@ def parse_solution(text: str) -> Solution | str:
             if kind == "SOLUTION":
                 makespan = float(tokens[-1])
             elif kind == "ROUTE":
+                if len(tokens) > 2:
+                    raise FormatError(line_no, f"ROUTE takes 1 value, not {len(tokens) - 1}")
                 flush()
                 cur_vehicle = int(tokens[1])
                 cur_trips = []
@@ -200,11 +202,12 @@ def parse_solution(text: str) -> Solution | str:
                 nodes = tuple(int(t) for t in tokens[2:])
                 cur_trips.append(Trip(nodes, duration))
             elif kind == "UNCOVERED":
-                directed = len(tokens) > 3 and tokens[3].upper() == "DIR"
-                uncovered.append(RequiredEdge(int(tokens[1]), int(tokens[2]), directed))
+                uncovered.append(_required_edge(tokens, line_no))
             else:
-                raise ValueError(f"unknown directive {tokens[0]!r}")
+                raise FormatError(line_no, f"unknown directive {tokens[0]!r}")
+        except FormatError:
+            raise
         except (IndexError, ValueError) as exc:
-            raise ValueError(f"line {line_no}: {exc}") from exc
+            raise FormatError(line_no, str(exc)) from exc
     flush()
     return Solution(tuple(routes), makespan, tuple(uncovered))

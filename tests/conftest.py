@@ -7,7 +7,6 @@ import random
 import pytest
 
 from mdrpp import (
-    BaselineResult,
     GenSpec,
     Instance,
     RequiredEdge,
@@ -106,11 +105,8 @@ def integer_instance(seed: int) -> Instance:
 
 def digest(inst, result) -> str:
     """sha256 (first 16 hex digits) of a solver's output: the write_solution
-    text of a Solution or solved BaselineResult, or the Unsolved reason."""
-    if isinstance(result, BaselineResult):
-        text = write_solution(inst, result.outcome) if result.solved else result.reason
-    else:
-        text = write_solution(inst, result)
+    text of a Solution, or the Unsolved reason."""
+    text = result if isinstance(result, str) else write_solution(inst, result)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

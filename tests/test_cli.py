@@ -5,7 +5,15 @@ import itertools
 
 import pytest
 
-from mdrpp import Instance, RequiredEdge, cli, exact, parse_instance, serialize_instance
+from mdrpp import (
+    Instance,
+    RequiredEdge,
+    Solution,
+    cli,
+    exact,
+    parse_instance,
+    serialize_instance,
+)
 from mdrpp.cli import main
 
 from conftest import tiny_corpus, trivial_instance, two_vehicle_instance, undirected_graph
@@ -21,6 +29,31 @@ def write_instance(tmp_path, inst, name="case.inst"):
     path = tmp_path / name
     path.write_text(serialize_instance(inst))
     return str(path)
+
+
+def test_run_algorithm_looks_solvers_up_at_call_time(monkeypatch):
+    # a tracer rebinds the solver names of this module; a dispatch table built
+    # at import time would keep calling the originals
+    calls = []
+
+    def stub(name, out):
+        def solver(inst, **kwargs):
+            calls.append((name, kwargs))
+            return out
+        return solver
+
+    plans = {alg: Solution((), float(i)) for i, alg in enumerate(cli.ALGORITHMS)}
+    monkeypatch.setattr(cli, "solve_multitrip", stub("mt", plans["mt"]))
+    monkeypatch.setattr(cli, "path_scanning", stub("ps", plans["ps"]))
+    monkeypatch.setattr(cli, "augment_merge", stub("am", "am reason"))
+    monkeypatch.setattr(cli, "construct_strike", stub("cs", "cs reason"))
+    monkeypatch.setattr(cli, "solve_exact", stub("exact", (plans["exact"], False)))
+    inst = trivial_instance()
+    assert [cli._run_algorithm(inst, alg, 2.5) for alg in cli.ALGORITHMS] == [
+        (plans["mt"], None, None), (plans["ps"], None, None), (None, "am reason", None),
+        (None, "cs reason", None), (plans["exact"], None, False)]
+    assert calls == [("mt", {}), ("ps", {}), ("am", {}), ("cs", {}),
+                     ("exact", {"time_budget": 2.5})]
 
 
 def test_generate_is_deterministic(tmp_path, capsys):

@@ -44,6 +44,38 @@ def test_no_unused_module_level_imports():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def unused_parameters(source: str) -> list[str]:
+    """Parameters, other than self, that their function's body never reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  *filter(None, (args.vararg, args.kwarg)))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        found += [f"{name}({p})" for p in params if p != "self" and p not in read]
+    return found
+
+
+def test_unused_parameters_are_detected():
+    source = ("def f(a, b, *rest, c=1, **kw):\n    def g(d):\n        return a + c\n"
+              "    b = 2\n    return g\n\n"
+              "class C:\n    def m(self, e):\n        return lambda x, y: y\n")
+    assert unused_parameters(source) == [
+        "f(b)", "f(rest)", "f(kw)", "g(d)", "m(e)", "<lambda>(x)"]
+
+
+def test_no_unused_parameters():
+    # the benchmark calls write_unsolved(inst, reason), so its inst stays
+    allowed = {"solution.py": ["write_unsolved(inst)"]}
+    found = {p.name: unused_parameters(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: params for name, params in found.items() if params} == allowed
+
+
 def imported(module: str, name: str):
     """What `from module import name` binds; ImportError when there is nothing."""
     source = importlib.import_module(module)

@@ -91,6 +91,18 @@ def test_parse_rejects_malformed_input():
         parse_instance(base.replace("CAPACITY 5.0", "CAPACITY nan"))
     with pytest.raises(InstanceError):
         parse_instance(base.replace("RECHARGE 0.5", "RECHARGE inf"))
+    # trailing tokens are a FormatError at their line, never dropped
+    for line, bad in [("NODES 4", "NODES 4 5"), ("VEHICLES 1", "VEHICLES 1 2"),
+                      ("CAPACITY 5.0", "CAPACITY 5.0 6.0"), ("RECHARGE 0.5", "RECHARGE 0.5 x"),
+                      ("ARC 1 0 1.0", "ARC 1 0 1.0 9"), ("REQ 0 1", "REQ 0 1 DIRECTED"),
+                      ("REQ 0 1", "REQ 0 1 DIR 2"), ("REQ 0 1", "REQ 0 1 1")]:
+        with pytest.raises(FormatError) as err:
+            parse_instance(GOLDEN.replace(line, bad))
+        assert err.value.line_no == GOLDEN.splitlines().index(line) + 1, bad
+    # DIR in any case marks a directed edge; the list directives take any length
+    assert parse_instance(GOLDEN.replace("REQ 0 1", "REQ 0 1 dir")).required == (
+        RequiredEdge(0, 1, directed=True),)
+    assert parse_instance(GOLDEN.replace("NAME golden-4", "NAME golden 4 x")).name == "golden 4 x"
 
 
 def test_comments_and_blank_lines_ignored():

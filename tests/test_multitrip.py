@@ -2,18 +2,15 @@
 
 import pytest
 
-from mdrpp import (
-    RequiredEdge,
-    check_feasibility,
+from mdrpp import RequiredEdge, check_feasibility, route_time, solve_multitrip
+from mdrpp.graph import DistanceTables, one_to_all
+from mdrpp import multitrip
+from mdrpp.multitrip import (
+    TripQueues,
     closest_feasible_depot,
     closest_feasible_edge,
     initial_fleet_state,
-    route_time,
-    solve_multitrip,
 )
-from mdrpp.graph import DistanceTables, one_to_all
-from mdrpp import multitrip
-from mdrpp.multitrip import TripQueues
 from mdrpp.solution import Trip, walk_cost
 
 from conftest import (
@@ -86,6 +83,10 @@ def test_select_next_vehicle_tie_breaks():
     assert state.next_vehicle() is None
 
 
+def tables_for(inst):
+    return DistanceTables(inst.graph, inst.depots)
+
+
 def enumerate_best_trip(inst, location, edges=None):
     """Independent oracle: cheapest single trip from `location` covering one
     of `edges` (default: all required edges), as (duration, index in edges)."""
@@ -113,7 +114,7 @@ def test_closest_feasible_edge_matches_enumeration():
         state = initial_fleet_state(inst)
         k = 0
         expected = enumerate_best_trip(inst, state.vehicles[k].location)
-        got = closest_feasible_edge(inst, state, k)
+        got = closest_feasible_edge(state, k, TripQueues(inst, tables_for(inst), state.is_open))
         if expected is None:
             assert got is None
             continue
@@ -133,23 +134,23 @@ def test_closest_feasible_edge_matches_enumeration_mid_solve():
     # covered edges dropped lazily and runs resumed after repositioning rows
     checked = 0
     for inst in tiny_corpus(60):
-        tables = DistanceTables(inst.graph, inst.depots)
+        tables = tables_for(inst)
         state = initial_fleet_state(inst)
-        state.queues = TripQueues(inst, tables, state.is_open)
+        queues = TripQueues(inst, tables, state.is_open)
         while state.uncovered:
             k = state.next_vehicle()
             if k is None:
                 break
             location = state.vehicles[k].location
             expected = enumerate_best_trip(inst, location, state.uncovered)
-            got = closest_feasible_edge(inst, state, k, tables)
+            got = closest_feasible_edge(state, k, queues)
             if got is None:
                 assert expected is None
-                move = closest_feasible_depot(inst, state, k, state.uncovered[0], tables)
+                move = closest_feasible_depot(state, k, state.uncovered[0], tables)
                 if move is None:
                     state.vehicles[k].infeasible = True
                 else:
-                    state.commit(k, move[1], inst.recharge_time)
+                    state.commit(k, move[1])
                 continue
             edge, trip = got
             assert trip.duration == pytest.approx(expected[0], abs=1e-9)
@@ -158,7 +159,7 @@ def test_closest_feasible_edge_matches_enumeration_mid_solve():
             assert trip.nodes[-1] in inst.depots
             assert walk_cost(inst, trip.nodes) == pytest.approx(trip.duration)
             assert edge in trip.covered
-            state.commit(k, trip, inst.recharge_time)
+            state.commit(k, trip)
             checked += 1
     assert checked >= 100
 
@@ -167,7 +168,8 @@ def test_closest_feasible_depot_properties():
     inst = reposition_instance()
     state = initial_fleet_state(inst)
     target = inst.required[0]
-    got = closest_feasible_depot(inst, state, 0, target)
+    tables = tables_for(inst)
+    got = closest_feasible_depot(state, 0, target, tables)
     assert got is not None
     depot, trip = got
     assert depot == 5
@@ -175,16 +177,17 @@ def test_closest_feasible_depot_properties():
     assert trip.duration == pytest.approx(3.8)
     # once at depot 5 no strictly closer depot remains
     state.vehicles[0].location = 5
-    assert closest_feasible_depot(inst, state, 0, target) is None
+    assert closest_feasible_depot(state, 0, target, tables) is None
 
 
 def test_closest_feasible_depot_strictly_closer_enumeration():
     for inst in tiny_corpus(20):
         state = initial_fleet_state(inst)
+        tables = tables_for(inst)
         veh = state.vehicles[0]
         costs, _ = one_to_all(inst.graph, veh.location)
         for target in inst.required:
-            got = closest_feasible_depot(inst, state, 0, target)
+            got = closest_feasible_depot(state, 0, target, tables)
             here = min(costs[target.frm], costs[target.to])
             if got is None:
                 continue
@@ -257,9 +260,10 @@ def test_equal_required_edges_close_together_and_stay_listed():
     state = initial_fleet_state(inst)
     assert state.uncovered == [dup, island, dup]
     trial = state.copy()
-    edge, trip = closest_feasible_edge(inst, trial, 0)
+    edge, trip = closest_feasible_edge(trial, 0, TripQueues(inst, tables_for(inst),
+                                                            trial.is_open))
     assert edge == dup
-    trial.commit(0, trip, inst.recharge_time)
+    trial.commit(0, trip)
     assert trial.uncovered == [island]
     assert trial.remaining == 1
     # the copy's commit leaves the original untouched
@@ -279,23 +283,23 @@ def test_closest_feasible_edge_matches_enumeration_with_equal_durations():
     checked = ties = 0
     for seed in range(60):
         inst = integer_instance(seed)
-        tables = DistanceTables(inst.graph, inst.depots)
+        tables = tables_for(inst)
         state = initial_fleet_state(inst)
-        state.queues = TripQueues(inst, tables, state.is_open)
+        queues = TripQueues(inst, tables, state.is_open)
         while state.remaining:
             k = state.next_vehicle()
             if k is None:
                 break
             uncovered = state.uncovered
             expected = enumerate_best_trip(inst, state.vehicles[k].location, uncovered)
-            got = closest_feasible_edge(inst, state, k, tables)
+            got = closest_feasible_edge(state, k, queues)
             if got is None:
                 assert expected is None
-                move = closest_feasible_depot(inst, state, k, uncovered[0], tables)
+                move = closest_feasible_depot(state, k, uncovered[0], tables)
                 if move is None:
                     state.vehicles[k].infeasible = True
                 else:
-                    state.commit(k, move[1], inst.recharge_time)
+                    state.commit(k, move[1])
                 continue
             edge, trip = got
             assert trip.duration == expected[0]
@@ -303,7 +307,7 @@ def test_closest_feasible_edge_matches_enumeration_with_equal_durations():
             rest = uncovered[:expected[1]] + uncovered[expected[1] + 1:]
             runner_up = enumerate_best_trip(inst, state.vehicles[k].location, rest)
             ties += runner_up is not None and runner_up[0] == expected[0]
-            state.commit(k, trip, inst.recharge_time)
+            state.commit(k, trip)
             checked += 1
     assert checked >= 100
     assert ties >= 20
@@ -314,11 +318,11 @@ def test_progress_guard_fires_within_the_stall_bound(monkeypatch):
     # solve after K·(|D|+1) such dispatches in a row, one call of slack
     calls = 0
 
-    def covers_nothing(inst, state, k, tables=None):
+    def covers_nothing(state, k, queues):
         nonlocal calls
         calls += 1
         location = state.vehicles[k].location
-        return inst.required[0], Trip(nodes=(location,), duration=1.0)
+        return state.inst.required[0], Trip(nodes=(location,), duration=1.0)
 
     monkeypatch.setattr(multitrip, "closest_feasible_edge", covers_nothing)
     for inst in (reposition_instance(), two_vehicle_instance(), *tiny_corpus(5)):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdrpp import (
+    FormatError,
     Instance,
     RequiredEdge,
     Route,
@@ -177,3 +178,21 @@ def test_unsolved_file_round_trip():
     parsed = parse_solution(text)
     assert isinstance(parsed, str)
     assert "no progress" in parsed
+
+
+def test_parse_solution_rejects_trailing_tokens():
+    text = write_solution(trivial_instance(),
+                          make_solution(trivial_instance(), [[(0, 1, 0)]]))
+    text += "UNCOVERED 1 2 DIR\n"
+    lines = text.splitlines()
+    assert parse_solution(text).uncovered == (RequiredEdge(1, 2, directed=True),)
+    for line, bad in [("ROUTE 0", "ROUTE 0 1"), ("UNCOVERED 1 2 DIR", "UNCOVERED 1 2 DIR 3"),
+                      ("UNCOVERED 1 2 DIR", "UNCOVERED 1 2 DIRECTED"),
+                      ("UNCOVERED 1 2 DIR", "UNCOVERED 1 2 3")]:
+        with pytest.raises(FormatError) as err:
+            parse_solution(text.replace(line, bad))
+        assert err.value.line_no == lines.index(line) + 1, bad
+    # a malformed value is a FormatError at its line too
+    with pytest.raises(FormatError) as err:
+        parse_solution(text.replace("ROUTE 0", "ROUTE x"))
+    assert err.value.line_no == lines.index("ROUTE 0") + 1
