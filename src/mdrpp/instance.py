@@ -150,6 +150,7 @@ def _canonical_required(required) -> tuple[RequiredEdge, ...]:
 
 # values of each fixed-length directive; NAME, DEPOTS and START take any number
 _VALUE_COUNTS = {"NODES": 1, "VEHICLES": 1, "CAPACITY": 1, "RECHARGE": 1, "ARC": 3}
+_REPEATABLE = frozenset({"ARC", "REQ"})  # every other directive appears at most once
 
 
 def _required_edge(tokens: list[str], line_no: int) -> RequiredEdge:
@@ -170,20 +171,27 @@ def parse_instance(text: str) -> Instance:
     arcs: list[Arc] = []
     required: list[RequiredEdge] = []
     name = ""
-    saw_header = False
+    seen: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
         kind = tokens[0].upper()
+        if not seen:
+            if tokens != ["MDRPPRV", "1"]:
+                raise FormatError(line_no, f"expected the header 'MDRPPRV 1', not {line!r}")
+            seen.add(kind)
+            continue
+        if kind not in _REPEATABLE:
+            if kind in seen:
+                raise FormatError(line_no, f"duplicate {kind} line")
+            seen.add(kind)
         count = _VALUE_COUNTS.get(kind)
         if count is not None and len(tokens) > count + 1:
             raise FormatError(line_no, f"{kind} takes {count} value(s), not {len(tokens) - 1}")
         try:
-            if kind == "MDRPPRV":
-                saw_header = True
-            elif kind == "NAME":
+            if kind == "NAME":
                 name = " ".join(tokens[1:])
             elif kind == "NODES":
                 node_count = int(tokens[1])
@@ -210,7 +218,7 @@ def parse_instance(text: str) -> Instance:
             raise
         except (IndexError, ValueError) as exc:
             raise FormatError(line_no, f"malformed {kind} line: {exc}") from exc
-    if not saw_header:
+    if not seen:
         raise FormatError(1, "missing MDRPPRV header")
     if node_count is None:
         raise FormatError(1, "missing NODES line")

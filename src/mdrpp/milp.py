@@ -8,6 +8,7 @@ assignments travel as {variable name: value} dictionaries.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -219,6 +220,13 @@ def _subtour_rows(inst: Instance, arcs, copies, xcol, trips, cap: int) -> list[R
             f"{len(free_nodes)} non-depot nodes exceed the subtour enumeration cap "
             f"of {cap}; raise the cap or use subtour_mode='none'")
     oriented = [o for e in inst.required for o in e.orientations()]
+    # A trip's x columns are xcol(k, f, 0) + a, so each trip's (column,
+    # coefficient) pairs are made once and shared by all its rows.  A row's
+    # crossing arcs take 1 and its anchor arc pq -2; pq lies inside the
+    # subset, so it never crosses and goes in at its sorted place.
+    offsets = [xcol(k, f, 0) for k, f in trips]
+    plus_one = [[(off + a, 1.0) for a in range(len(arcs))] for off in offsets]
+    minus_two = [[(off + a, -2.0) for a in range(len(arcs))] for off in offsets]
     rows: list[Row] = []
     n_row = 0
     for size in range(2, len(free_nodes) + 1):
@@ -228,14 +236,14 @@ def _subtour_rows(inst: Instance, arcs, copies, xcol, trips, cap: int) -> list[R
             if not inside:
                 continue
             crossing = [a for a, (i, j, _) in enumerate(arcs) if (i in s) != (j in s)]
+            crossed = [tuple(map(one.__getitem__, crossing)) for one in plus_one]
             for anchor, (p, q) in enumerate(inside):
                 for copy_no, pq_arc in enumerate(copies[(p, q)]):
-                    for k, f in trips:
-                        coeffs = {xcol(k, f, a): 1.0 for a in crossing}
-                        key = xcol(k, f, pq_arc)
-                        coeffs[key] = coeffs.get(key, 0.0) - 2.0
-                        rows.append(Row(f"subtour_{n_row}_{anchor}_{copy_no}_{k}_{f}",
-                                        "G", 0.0, tuple(sorted(coeffs.items()))))
+                    cut = bisect.bisect(crossing, pq_arc)
+                    prefix = f"subtour_{n_row}_{anchor}_{copy_no}_"
+                    for (k, f), pairs, two in zip(trips, crossed, minus_two):
+                        rows.append(Row(f"{prefix}{k}_{f}", "G", 0.0,
+                                        pairs[:cut] + (two[pq_arc],) + pairs[cut:]))
             n_row += 1
     return rows
 
@@ -246,26 +254,49 @@ def _num(x: float) -> str:
     return repr(x)
 
 
+class _Memo(dict):
+    """fn(x) for each float x, computed once per writer call and keyed by value.
+
+    Calling it passes any other type straight to fn: an int of 1e15 or more
+    equals a float that `_num` prints differently.  -0.0 and 0.0 share a key,
+    which is harmless: both print as `0` and take `+` in LP.  The writers'
+    per-non-zero loops inline `__call__` to save a Python call per non-zero."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, x):
+        value = self[x] = self.fn(x)
+        return value
+
+    def __call__(self, x):
+        return self[x] if type(x) is float else self.fn(x)
+
+
 def write_lp(model: MilpModel) -> str:
     """CPLEX-LP text with deterministic row and column order."""
+    num = _Memo(_num)
+    term = _Memo(lambda c: f"{'+' if c >= 0 else '-'} {num(abs(c))} ")
+    names = [c.name for c in model.columns]
     out = [f"\\ {model.name}", "Minimize"]
-    obj_terms = [f"{_num(c.objective)} {c.name}" for c in model.columns if c.objective != 0.0]
+    obj_terms = [f"{num(c.objective)} {c.name}" for c in model.columns if c.objective != 0.0]
     out.append(" obj: " + " + ".join(obj_terms))
     out.append("Subject To")
+    op = {"E": "=", "L": "<=", "G": ">="}
     for row in model.rows:
-        terms = []
-        for col, coeff in row.coeffs:
-            sign = "+" if coeff >= 0 else "-"
-            terms.append(f"{sign} {_num(abs(coeff))} {model.columns[col].name}")
-        expr = " ".join(terms).lstrip("+ ") if terms else "0 " + model.columns[0].name
-        op = {"E": "=", "L": "<=", "G": ">="}[row.sense]
-        out.append(f" {row.name}: {expr} {op} {_num(row.rhs)}")
+        if row.coeffs:
+            expr = " ".join([(term[c] if type(c) is float else term.fn(c)) + names[col]
+                             for col, c in row.coeffs]).lstrip("+ ")
+        else:
+            expr = "0 " + names[0]
+        out.append(f" {row.name}: {expr} {op[row.sense]} {num(row.rhs)}")
     out.append("Bounds")
     for c in model.columns:
         if c.integer:
             continue
-        upper = "+inf" if c.upper == float("inf") else _num(c.upper)
-        out.append(f" {_num(c.lower)} <= {c.name} <= {upper}")
+        upper = "+inf" if c.upper == float("inf") else num(c.upper)
+        out.append(f" {num(c.lower)} <= {c.name} <= {upper}")
     binaries = [c.name for c in model.columns if c.integer]
     if binaries:
         out.append("Binaries")
@@ -277,49 +308,49 @@ def write_lp(model: MilpModel) -> str:
 
 def write_mps(model: MilpModel) -> str:
     """Fixed-layout MPS text with deterministic ordering."""
+    num = _Memo(_num)
+    cell = _Memo(lambda c: f"{num(c):<14}")
     lines = [f"NAME          {model.name[:60]}"]
     lines.append("ROWS")
     lines.append(" N  COST")
     for row in model.rows:
         lines.append(f" {row.sense}  {row.name}")
     lines.append("COLUMNS")
-    by_col: dict[int, list[tuple[str, float]]] = {}
+    # each column's (row name, coefficient) cells, ready to print
+    by_col = [[f"{'COST':<20} " + cell(c.objective)] if c.objective != 0.0 else []
+              for c in model.columns]
     for row in model.rows:
-        for col, coeff in row.coeffs:
-            by_col.setdefault(col, []).append((row.name, coeff))
+        head = f"{row.name:<20} "
+        for col, c in row.coeffs:
+            by_col[col].append(head + (cell[c] if type(c) is float else cell.fn(c)))
     in_int = False
     marker = 0
-    for idx, c in enumerate(model.columns):
+    for c, cells in zip(model.columns, by_col):
         if c.integer != in_int:
             tag = "INTORG" if c.integer else "INTEND"
             lines.append(f"    MARKER{marker}                 'MARKER'                 '{tag}'")
             in_int = c.integer
             marker += 1
-        entries = []
-        if c.objective != 0.0:
-            entries.append(("COST", c.objective))
-        entries.extend(by_col.get(idx, []))
-        for pos in range(0, len(entries), 2):
-            chunk = entries[pos:pos + 2]
-            parts = [f"    {c.name:<24}"]
-            for rname, coeff in chunk:
-                parts.append(f"{rname:<20} {_num(coeff):<14}")
-            lines.append("".join(parts).rstrip())
+        head = f"    {c.name:<24}"
+        if len(cells) % 2:
+            cells.append("")
+        pairs = iter(cells)
+        lines += [(head + first + second).rstrip() for first, second in zip(pairs, pairs)]
     if in_int:
         lines.append(f"    MARKER{marker}                 'MARKER'                 'INTEND'")
     lines.append("RHS")
     for row in model.rows:
         if row.rhs != 0.0:
-            lines.append(f"    RHS                     {row.name:<20} {_num(row.rhs)}")
+            lines.append(f"    RHS                     {row.name:<20} {num(row.rhs)}")
     lines.append("BOUNDS")
     for c in model.columns:
         if c.integer:
             lines.append(f" BV BND                    {c.name}")
         else:
             if c.lower != 0.0:
-                lines.append(f" LO BND                    {c.name:<24} {_num(c.lower)}")
+                lines.append(f" LO BND                    {c.name:<24} {num(c.lower)}")
             if c.upper != float("inf"):
-                lines.append(f" UP BND                    {c.name:<24} {_num(c.upper)}")
+                lines.append(f" UP BND                    {c.name:<24} {num(c.upper)}")
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"
 

@@ -8,8 +8,6 @@ import json
 import sys
 from pathlib import Path
 
-from mdrpp import add_dummy_nodes, parse_instance
-
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "mdrpp"
 TESTS = ROOT / "tests"
@@ -110,21 +108,17 @@ def test_benchmark_imports_resolve():
 
 def benchmark_sample(workloads, tmp_path):
     """(workload name, operations) of a sample of each seed-0 workload: the
-    first 30 tiny-oracle instances (milp-export only where the dummy-node
-    model has at most 7 non-depot nodes), the offset-1 baselines-mix instance
-    of each set and the first mt-ladder instance."""
+    first 30 tiny-oracle instances with every milp-export of the 60, the
+    offset-1 baselines-mix instance of each set and the first mt-ladder
+    instance."""
     wls = workloads.WORKLOADS
-    tiny = workloads.write_instances(workloads.build(wls["tiny-oracle"].plan(0)[:30]), tmp_path)
-    small = set()
-    for name, path, _ in tiny:
-        prepped, _ = add_dummy_nodes(parse_instance(Path(path).read_text()))
-        if prepped.graph.node_count - len(prepped.depots) <= 7:
-            small.add(name)
+    tiny = workloads.write_instances(workloads.build(wls["tiny-oracle"].plan(0)), tmp_path)
+    head = {name for name, _, _ in tiny[:30]}
     mix = [p for p in wls["baselines-mix"].plan(0) if p[1][2] == 1]
     ladder = wls["mt-ladder"].plan(0)[:1]
     return [
         ("tiny-oracle", [op for op in wls["tiny-oracle"].ops(tiny)
-                         if op.kind != "milp-export" or op.id.split(":")[1] in small]),
+                         if op.kind == "milp-export" or op.id.split(":")[1] in head]),
         ("baselines-mix", wls["baselines-mix"].ops(
             workloads.write_instances(workloads.build(mix), tmp_path))),
         ("mt-ladder", wls["mt-ladder"].ops(

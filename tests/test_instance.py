@@ -103,6 +103,30 @@ def test_parse_rejects_malformed_input():
     assert parse_instance(GOLDEN.replace("REQ 0 1", "REQ 0 1 dir")).required == (
         RequiredEdge(0, 1, directed=True),)
     assert parse_instance(GOLDEN.replace("NAME golden-4", "NAME golden 4 x")).name == "golden 4 x"
+    # a repeated scalar directive is refused at its second line, never overwritten
+    for line in ("NAME golden-4", "NODES 4", "DEPOTS 0 2", "VEHICLES 1", "CAPACITY 5.0",
+                 "RECHARGE 0.5", "START 0"):
+        kind = line.split()[0]
+        with pytest.raises(FormatError, match=f"duplicate {kind} line") as err:
+            parse_instance(GOLDEN.replace(line, f"{line}\n{line}"))
+        assert err.value.line_no == GOLDEN.splitlines().index(line) + 2, line
+    # ARC and REQ repeat by design
+    assert len(parse_instance(GOLDEN + "REQ 2 3\n").required) == 2
+
+
+def test_parse_refuses_another_header_version():
+    with pytest.raises(FormatError, match="MDRPPRV 7") as err:
+        parse_instance(GOLDEN.replace("MDRPPRV 1", "# version 7\nMDRPPRV 7"))
+    assert err.value.line_no == 2
+
+
+def test_parse_refuses_a_header_after_other_directives():
+    with pytest.raises(FormatError, match="NAME golden-4") as err:
+        parse_instance(GOLDEN.replace("MDRPPRV 1\nNAME golden-4", "NAME golden-4\nMDRPPRV 1"))
+    assert err.value.line_no == 1
+    with pytest.raises(FormatError, match="duplicate MDRPPRV line") as err:
+        parse_instance(GOLDEN + "MDRPPRV 1\n")
+    assert err.value.line_no == len(GOLDEN.splitlines()) + 1
 
 
 def test_comments_and_blank_lines_ignored():

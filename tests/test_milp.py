@@ -1,5 +1,7 @@
 """Model materialization: counts, writers, encode/check/decode, trip driver."""
 
+from collections import Counter
+
 import pytest
 
 from mdrpp import (
@@ -15,8 +17,12 @@ from mdrpp import (
     write_lp,
     write_mps,
 )
+from mdrpp import milp
 from mdrpp.milp import (
+    Column,
+    MilpModel,
     ModelSizeError,
+    Row,
     SolveResult,
     SolverResourceLimit,
     TripCapExceeded,
@@ -251,6 +257,104 @@ def test_writers_are_deterministic():
     _, m2 = small_model()
     assert write_lp(m1) == write_lp(m2)
     assert write_mps(m1) == write_mps(m2)
+
+
+def awkward_model():
+    """A hand-built model with values the library's own models do not hold:
+    inexact sums, -0.0, floats at and above 1e15, ints equal to such floats,
+    an empty row, a continuous column with a non-zero lower bound and
+    columns with an objective and an odd number of entries."""
+    return MilpModel(
+        name="awkward",
+        columns=[
+            Column("a", 0.0, 1.0, True, 0.0),
+            Column("b", 0.0, 1.0, True, 0.0),
+            Column("cont_lo", 1.5, 1e16, False, 0.1 + 0.2),
+            Column("beta", 0.0, float("inf"), False, 1.0),
+        ],
+        rows=[
+            Row("mixed", "L", 1e15, ((0, 0.1 + 0.2), (1, -2.0), (2, -0.0), (3, 1e15))),
+            Row("big", "G", -0.0, ((0, 1e16), (1, -1e16), (3, 1.0))),
+            Row("empty", "E", 0.0, ()),
+            Row("ints", "G", 10**16, ((0, 10**15), (1, 1e15), (3, 2))),
+            Row("negative_rhs_name_longer_than_20", "E", -3.5, ((2, -0.5),)),
+        ],
+        num_trips=1, arcs=[])
+
+
+AWKWARD_LP = (
+    "\\ awkward\n"
+    "Minimize\n"
+    " obj: 0.30000000000000004 cont_lo + 1 beta\n"
+    "Subject To\n"
+    " mixed: 0.30000000000000004 a - 2 b + 0 cont_lo + 1000000000000000.0 beta"
+    " <= 1000000000000000.0\n"
+    " big: 1e+16 a - 1e+16 b + 1 beta >= 0\n"
+    " empty: 0 a = 0\n"
+    " ints: 1000000000000000 a + 1000000000000000.0 b + 2 beta >= 10000000000000000\n"
+    " negative_rhs_name_longer_than_20: - 0.5 cont_lo = -3.5\n"
+    "Bounds\n"
+    " 1.5 <= cont_lo <= 1e+16\n"
+    " 0 <= beta <= +inf\n"
+    "Binaries\n"
+    " a\n"
+    " b\n"
+    "End\n"
+)
+
+AWKWARD_MPS = (
+    "NAME          awkward\n"
+    "ROWS\n"
+    " N  COST\n"
+    " L  mixed\n"
+    " G  big\n"
+    " E  empty\n"
+    " G  ints\n"
+    " E  negative_rhs_name_longer_than_20\n"
+    "COLUMNS\n"
+    "    MARKER0                 'MARKER'                 'INTORG'\n"
+    "    a                       mixed                0.30000000000000004big                  1e+16\n"
+    "    a                       ints                 1000000000000000\n"
+    "    b                       mixed                -2            big                  -1e+16\n"
+    "    b                       ints                 1000000000000000.0\n"
+    "    MARKER1                 'MARKER'                 'INTEND'\n"
+    "    cont_lo                 COST                 0.30000000000000004mixed                0\n"
+    "    cont_lo                 negative_rhs_name_longer_than_20 -0.5\n"
+    "    beta                    COST                 1             mixed"
+    "                1000000000000000.0\n"
+    "    beta                    big                  1             ints                 2\n"
+    "RHS\n"
+    "    RHS                     mixed                1000000000000000.0\n"
+    "    RHS                     ints                 10000000000000000\n"
+    "    RHS                     negative_rhs_name_longer_than_20 -3.5\n"
+    "BOUNDS\n"
+    " BV BND                    a\n"
+    " BV BND                    b\n"
+    " LO BND                    cont_lo                  1.5\n"
+    " UP BND                    cont_lo                  1e+16\n"
+    "ENDATA\n"
+)
+
+
+def test_writers_pin_awkward_values():
+    # -0.0 prints as 0 and takes '+'; an int of 1e15 or more prints without
+    # the '.0' of the equal float, in the same model
+    model = awkward_model()
+    assert write_lp(model) == AWKWARD_LP
+    assert write_mps(model) == AWKWARD_MPS
+
+
+def test_writers_format_each_distinct_value_once(monkeypatch):
+    # counts calls, not time: a writer that formats per non-zero shows up here
+    model = next(m for m in (build_model(add_dummy_nodes(inst)[0], 2) for inst in tiny_corpus())
+                 if sum(len(row.coeffs) for row in m.rows) > 1000)
+    calls = []
+    real = milp._num
+    monkeypatch.setattr(milp, "_num", lambda x: calls.append(x) or real(x))
+    for writer in (write_lp, write_mps):
+        calls.clear()
+        writer(model)
+        assert calls and max(Counter(calls).values()) == 1, writer.__name__
 
 
 def test_encode_satisfies_every_row():
