@@ -4,9 +4,16 @@
 vehicle order.  A trip is a repositioning hop between depots or covers an
 ordered, oriented subset of the required edges; the edges still uncovered
 are a bit mask.  Each depot's list of capacity-feasible trips is built once,
-on first use, and a search node tries those whose edges are all still
-uncovered.  `enumerate_exhaustive` recomputes the optimum by plain
-enumeration and exists only to cross-check the search.
+on first use, and filtered once per uncovered mask to the trips whose edges
+are all still uncovered, in list order.  A node tests each child's lower
+bound before calling it: the child's route time, the worst finished route
+time and each uncovered edge's cheapest single trip.  On the last vehicle, a
+child that leaves edges uncovered needs one more trip after a recharge, so it
+also needs a free trip slot and a route time that leaves room for that trip
+(see `_ROUNDING` for its margin).  A leaf is accepted only when it beats the
+incumbent by `EPS`, so sound pruning leaves the returned plan unchanged.
+`enumerate_exhaustive` recomputes the optimum by plain enumeration and
+exists only to cross-check the search.
 Neither scales; both are ground truth for heuristic gaps and MILP checks.
 """
 
@@ -34,6 +41,20 @@ class OracleBudgetError(RuntimeError):
 # 14 undirected or 27 directed required edges at the default trip size of 3
 MAX_TRIP_SEQUENCES = 20_000
 
+# relative margin of the last-vehicle bound.  A trip that covers an edge costs
+# at least that edge's cheapest single trip only by the triangle inequality
+# over Dijkstra's float distances, and the bound sums in another order than
+# the leaf's route time.  Each float addition errs by at most 2**-53 of its
+# result, so 1e-12 covers thousands of them; a bound equal to an incumbent
+# below 1000 is still pruned.
+_ROUNDING = 1e-12
+
+# (trip, mask) entries the search keeps in its fitting-trip lists before it
+# empties them, about 150 bytes each.  On larger instances most masks are
+# visited once: keeping every list grew by 70 MB a second on the seed-1,
+# 20-node set-B instance
+_FITTING_ENTRIES = 100_000
+
 
 def _distance_matrix(inst: Instance) -> list[list[float]]:
     return [one_to_all(inst.graph, s)[0] for s in range(inst.graph.node_count)]
@@ -57,6 +78,20 @@ def _cheapest_single_trip(inst: Instance, dist, e: RequiredEdge) -> float:
                 if c < best:
                     best = c
     return best
+
+
+class _MaskMax(dict):
+    """The largest of `bounds[i]` over the bits i of a mask, computed once per
+    mask; 0.0 for the empty mask."""
+
+    def __init__(self, bounds: list[float]):
+        super().__init__()
+        self.bounds = bounds
+
+    def __missing__(self, mask: int) -> float:
+        value = self[mask] = max((b for i, b in enumerate(self.bounds) if mask >> i & 1),
+                                 default=0.0)
+        return value
 
 
 @dataclass
@@ -138,55 +173,84 @@ def solve_exact(inst: Instance, f_cap: int = 3, time_budget: float = 60.0,
     edge_bound = [_cheapest_single_trip(inst, dist, e) for e in required]
     deadline = time.monotonic() + time_budget
     options: dict[int, list[tuple[_TripPlan, int]]] = {}
+    fitting: dict[tuple[int, int], list[tuple[int, float, float, int, int]]] = {}
+    fitting_entries = 0
+    rem_bound = _MaskMax(edge_bound)
+    recharge = inst.recharge_time
+    last = inst.vehicles - 1
 
     best_plan: list[list[_TripPlan]] | None = None
     best_value = float("inf")
     complete = True
     done: list[tuple[_TripPlan, ...]] = []  # trips of vehicles 0..k
-    times: list[float] = []  # their route times
 
     def search(k: int, depot: int, trips: tuple[_TripPlan, ...], spent: float,
-               remaining: int) -> None:
-        """Vehicle k, at `depot` after `trips` of total duration `spent`,
-        either stops and hands the required edges in the `remaining` mask to
-        vehicle k + 1, or takes one more trip."""
-        nonlocal best_plan, best_value, complete
+               worst: float, remaining: int) -> None:
+        """Vehicle k, at `depot` after `trips` of total duration `spent`, with
+        `worst` the largest route time of vehicles 0..k-1, either stops and
+        hands the required edges in the `remaining` mask to vehicle k + 1, or
+        takes one more trip.  The caller has tested this node's bound."""
+        nonlocal best_plan, best_value, complete, fitting_entries
         if time.monotonic() > deadline:
             complete = False
             return
         # summed left to right, as route_time's `sum` adds before Python 3.12
-        t_here = spent + (len(trips) - 1) * inst.recharge_time if trips else 0.0
-        # any remaining edge costs at least its cheapest covering trip,
-        # whichever vehicle ends up taking it
-        lb = max([t_here, *times,
-                  *(b for i, b in enumerate(edge_bound) if remaining >> i & 1)])
-        if lb >= best_value - EPS:
-            return
+        t_here = spent + (len(trips) - 1) * recharge if trips else 0.0
         done.append(trips)
-        times.append(t_here)
-        if k + 1 < inst.vehicles:
-            search(k + 1, inst.start_depot(k + 1), (), 0.0, remaining)
+        if k < last:
+            search(k + 1, inst.start_depot(k + 1), (), 0.0, max(worst, t_here), remaining)
         elif not remaining:
-            best_value = lb
+            # the bound test let this leaf in, so it beats the incumbent
+            best_value = max(t_here, worst)
             best_plan = [list(p) for p in done]
         done.pop()
-        times.pop()
-        if len(trips) >= f_cap:
+        n = len(trips)
+        # past a leaf, any further trip only adds time
+        if n >= f_cap or k == last and not remaining:
             return
-        if depot not in options:
-            built = _trip_options(inst, dist, depot, required, max_edges_per_trip, deadline)
-            if built is None:
-                complete = False
-                return
-            options[depot] = built
-        for plan, mask in options[depot]:
-            if mask & remaining == mask:
-                search(k, plan.end_depot, trips + (plan,), spent + plan.duration,
-                       remaining & ~mask)
-                if not complete:
+        fits = fitting.get((depot, remaining))
+        if fits is None:
+            if depot not in options:
+                built = _trip_options(inst, dist, depot, required, max_edges_per_trip, deadline)
+                if built is None:
+                    complete = False
                     return
+                options[depot] = built
+            # the trips that fit, in option order: the mask each leaves, that
+            # mask's bound, the trip's duration, end depot and option index.
+            # Numbers only, so the garbage collector stops tracking them:
+            # holding each _TripPlan instead made collection take 2 s of a
+            # 3 s budget on the instance named at _FITTING_ENTRIES
+            fits = [(remaining ^ mask, rem_bound[remaining ^ mask], plan.duration,
+                     plan.end_depot, i)
+                    for i, (plan, mask) in enumerate(options[depot]) if mask & remaining == mask]
+            if fitting_entries > _FITTING_ENTRIES:
+                fitting.clear()
+                fitting_entries = 0
+            fitting[depot, remaining] = fits
+            fitting_entries += len(fits)
+        trip_list = options[depot]
+        recharges = n * recharge
+        last_vehicle = k == last
+        cut = best_value - EPS
+        for rest, rest_bound, duration, end, i in fits:
+            ns = spent + duration
+            t = ns + recharges  # the child's t_here
+            # any remaining edge costs at least its cheapest covering trip,
+            # whichever vehicle ends up taking it
+            if t >= cut or worst >= cut or rest_bound >= cut:
+                continue
+            # the last vehicle still needs one more trip, after a recharge,
+            # for the edges left; see _ROUNDING for the margin
+            if last_vehicle and rest and (
+                    n + 1 >= f_cap or (t + recharge + rest_bound) * (1.0 - _ROUNDING) >= cut):
+                continue
+            search(k, end, trips + (trip_list[i][0],), ns, worst, rest)
+            if not complete:
+                return
+            cut = best_value - EPS
 
-    search(0, inst.start_depot(0), (), 0.0, (1 << len(required)) - 1)
+    search(0, inst.start_depot(0), (), 0.0, 0.0, (1 << len(required)) - 1)
     if best_plan is None:
         if not complete:
             raise OracleBudgetError(f"no feasible plan found within {time_budget} s")

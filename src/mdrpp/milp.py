@@ -249,8 +249,10 @@ def _subtour_rows(inst: Instance, arcs, copies, xcol, trips, cap: int) -> list[R
 
 
 def _num(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
+    if abs(x) < 1e15 and x == int(x):
         return str(int(x))
+    if x != x:
+        raise ValueError(f"cannot write {x!r} into a model file")
     return repr(x)
 
 
@@ -309,20 +311,24 @@ def write_lp(model: MilpModel) -> str:
 def write_mps(model: MilpModel) -> str:
     """Fixed-layout MPS text with deterministic ordering."""
     num = _Memo(_num)
-    cell = _Memo(lambda c: f"{num(c):<14}")
+    # a line's first coefficient is padded to 13 characters plus a space, so
+    # that even a wider one stays apart from the row name after it
+    first = _Memo(lambda c: f"{num(c):<13} ")
     lines = [f"NAME          {model.name[:60]}"]
     lines.append("ROWS")
     lines.append(" N  COST")
     for row in model.rows:
         lines.append(f" {row.sense}  {row.name}")
     lines.append("COLUMNS")
-    # each column's (row name, coefficient) cells, ready to print
-    by_col = [[f"{'COST':<20} " + cell(c.objective)] if c.objective != 0.0 else []
+    # each column's padded row names and coefficients, alternating, COST first
+    by_col = [[f"{'COST':<20} ", c.objective] if c.objective != 0.0 else []
               for c in model.columns]
     for row in model.rows:
         head = f"{row.name:<20} "
         for col, c in row.coeffs:
-            by_col[col].append(head + (cell[c] if type(c) is float else cell.fn(c)))
+            cells = by_col[col]
+            cells.append(head)
+            cells.append(c)
     in_int = False
     marker = 0
     for c, cells in zip(model.columns, by_col):
@@ -332,10 +338,12 @@ def write_mps(model: MilpModel) -> str:
             in_int = c.integer
             marker += 1
         head = f"    {c.name:<24}"
-        if len(cells) % 2:
-            cells.append("")
-        pairs = iter(cells)
-        lines += [(head + first + second).rstrip() for first, second in zip(pairs, pairs)]
+        quads = iter(cells)
+        lines += [f"{head}{row_a}{first[a] if type(a) is float else first.fn(a)}"
+                  f"{row_b}{num[b] if type(b) is float else num.fn(b)}"
+                  for row_a, a, row_b, b in zip(quads, quads, quads, quads)]
+        if len(cells) % 4:
+            lines.append(head + cells[-2] + num(cells[-1]))
     if in_int:
         lines.append(f"    MARKER{marker}                 'MARKER'                 'INTEND'")
     lines.append("RHS")
@@ -347,7 +355,9 @@ def write_mps(model: MilpModel) -> str:
         if c.integer:
             lines.append(f" BV BND                    {c.name}")
         else:
-            if c.lower != 0.0:
+            if c.lower == float("-inf"):
+                lines.append(f" MI BND                    {c.name}")
+            elif c.lower != 0.0:
                 lines.append(f" LO BND                    {c.name:<24} {num(c.lower)}")
             if c.upper != float("inf"):
                 lines.append(f" UP BND                    {c.name:<24} {num(c.upper)}")

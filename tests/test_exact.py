@@ -22,6 +22,7 @@ from mdrpp import (
 
 from conftest import (
     digest,
+    integer_instance,
     reposition_instance,
     tiny_corpus,
     two_vehicle_instance,
@@ -129,6 +130,69 @@ def test_oracle_output_is_pinned_on_corpus(copy):
     if copy == "dummy":
         insts = [add_dummy_nodes(inst)[0] for inst in insts]
     assert [_oracle_digest(inst) for inst in insts] == PINNED_ORACLE[copy].split()
+
+
+# seed:_oracle_digest on the integer_instance seeds below 120 that the oracle
+# finished within 2 s when these pins were recorded; integer and zero weights
+# make ties between plans common
+PINNED_INTEGER = """
+    0:ebea11728b524428+ 1:be44b0594483d3e5+ 2:b3a87093ab60186f+ 3:none
+    4:none 6:c3e3ef35e94db826+ 7:85404509184c4553+ 8:none
+    9:2eb78ba4e8360136+ 10:none 15:ac465af9db98b122+ 16:243f30a2bc267765+
+    18:none 19:ce6f79684eb4f957+ 20:afad4bda68d08721+ 21:9f64edaca158af84+
+    22:8c1d7ef0c4241b21+ 23:8b81fcc6acf8de7e+ 24:13b46a4e8c3c9146+ 25:ea33caa2a39a094c+
+    26:69c63dad682b2b6b+ 27:defbd6162cf46da8+ 28:a1d8a3d4e9ae9d10+ 29:none
+    30:none 31:2ba56c12014ef99d+ 32:0826459de001b413+ 33:none
+    34:ed5d8ae53b821743+ 36:none 37:cfcfd5ecd4f08aeb+ 38:none
+    39:a1e9418424a5c5ca+ 40:none 41:d21f6cb51600ad5c+ 43:193494cc67ec9ea6+
+    45:64197816a4263666+ 46:c770db6480a4a63b+ 47:87ccfab57998e347+ 48:none
+    49:8f8a9f759e476483+ 50:26f80611f334dc30+ 52:none 53:none
+    55:none 56:7b5cb98e9540d7cd+ 57:87d1ac1695ba745a+ 58:5e6ec0119289a17c+
+    60:31c858fc2232bbc9+ 61:none 62:232b3ba2e1007bf4+ 63:cde1347019aaa0d4+
+    64:none 65:ede99b85d2850566+ 66:385b2b828871adcc+ 68:none
+    69:none 72:f5b64a9781faa8d0+ 73:none 76:none
+    77:dbf74af23b4b8d5b+ 78:bec3f88fbbb9bb9f+ 79:1b6cc741f8b70eee+ 81:none
+    82:024c60123db23e31+ 83:none 84:6ac8cc655af7cab6+ 85:none
+    87:f5c2ff17a597a4f5+ 88:none 90:none 91:daeea52093ca351f+
+    92:87e0693fd554ba7f+ 94:none 96:none 99:3c8027aa37e57832+
+    100:none 101:0430cc10e9781c0f+ 102:437c187c08ee61fc+ 104:51a7a790a68013dd+
+    105:none 107:5bc0620d382af072+ 109:37f961aa74ffba50+ 110:none
+    111:1c1371d789b79764+ 112:3d0371a93462dec8+ 114:50b82028d338bb75+ 116:none
+    117:none 118:1240fe855770d0fe+
+"""
+
+
+def test_oracle_output_is_pinned_on_integer_instances():
+    pins = dict(pair.split(":") for pair in PINNED_INTEGER.split())
+    assert {seed: _oracle_digest(integer_instance(int(seed))) for seed in pins} == pins
+
+
+def set_a_instance(nodes: int, edges: int, seed: int):
+    """tiny_corpus's loose set-A recipe at a larger size."""
+    base = random_connected_graph(nodes, edges, seed, integer_weights=False,
+                                  min_weight=1.0, max_weight=4.0)
+    return generate_instance(base, GenSpec(nodes, edges, seed, set_kind="A",
+                                           max_edge_weight=6.0))
+
+
+@pytest.mark.parametrize("nodes, edges, seed, expected", [
+    (8, 15, 0, None), (8, 15, 1, 20.815), (8, 15, 2, 15.549),
+    (9, 18, 0, 11.536000000000001), (9, 18, 2, None)])
+def test_oracle_results_are_pinned_at_eight_and_nine_nodes(nodes, edges, seed, expected):
+    out = solve_exact(set_a_instance(nodes, edges, seed))
+    if expected is None:
+        assert out is None
+    else:
+        assert out is not None and out[1]
+        assert out[0].makespan == expected
+
+
+def test_nine_node_instance_is_proven_within_ten_seconds():
+    # six required edges and three vehicles: the size at which ROADMAP item 6
+    # asks for a proof within 5 s
+    out = solve_exact(set_a_instance(9, 18, 0), time_budget=10.0)
+    assert out is not None and out[1]
+    assert out[0].makespan == 11.536000000000001
 
 
 def test_objective_scales_with_weights():

@@ -313,12 +313,12 @@ AWKWARD_MPS = (
     " E  negative_rhs_name_longer_than_20\n"
     "COLUMNS\n"
     "    MARKER0                 'MARKER'                 'INTORG'\n"
-    "    a                       mixed                0.30000000000000004big                  1e+16\n"
+    "    a                       mixed                0.30000000000000004 big                  1e+16\n"
     "    a                       ints                 1000000000000000\n"
     "    b                       mixed                -2            big                  -1e+16\n"
     "    b                       ints                 1000000000000000.0\n"
     "    MARKER1                 'MARKER'                 'INTEND'\n"
-    "    cont_lo                 COST                 0.30000000000000004mixed                0\n"
+    "    cont_lo                 COST                 0.30000000000000004 mixed                0\n"
     "    cont_lo                 negative_rhs_name_longer_than_20 -0.5\n"
     "    beta                    COST                 1             mixed"
     "                1000000000000000.0\n"
@@ -342,6 +342,26 @@ def test_writers_pin_awkward_values():
     model = awkward_model()
     assert write_lp(model) == AWKWARD_LP
     assert write_mps(model) == AWKWARD_MPS
+
+
+def test_writers_take_a_free_column_and_refuse_nan():
+    def model(lower):
+        return MilpModel(
+            name="free",
+            columns=[Column("x", lower, float("inf"), False, 1.0)],
+            rows=[Row("r", "G", float("-inf"), ((0, 1.0),))],
+            num_trips=1, arcs=[])
+
+    free = model(float("-inf"))
+    assert " -inf <= x <= +inf\n" in write_lp(free)
+    assert " r: 1 x >= -inf\n" in write_lp(free)
+    mps = write_mps(free)
+    assert " MI BND                    x\n" in mps
+    assert "RHS\n    RHS                     r                    -inf\n" in mps
+    assert "LO BND" not in mps and "UP BND" not in mps
+    for writer in (write_lp, write_mps):
+        with pytest.raises(ValueError, match="nan"):
+            writer(model(float("nan")))
 
 
 def test_writers_format_each_distinct_value_once(monkeypatch):
