@@ -8,9 +8,11 @@ Unsolved reason as a string, never an exception.
 
 from __future__ import annotations
 
+import itertools
 import math
 
-from .graph import Arc, DistanceTables, WeightedGraph, _lex_dijkstra, path_from_parents
+from .graph import (Arc, DistanceTables, WeightedGraph, _lex_dijkstra, path_from_parents,
+                    shortest_path)
 from .instance import Instance
 from .multitrip import FleetState, initial_fleet_state
 from .solution import EPS, Solution, Trip, covered_by_walk, trip_from_walk
@@ -166,7 +168,11 @@ def augment_merge(inst: Instance) -> Solution | str:
             pos = head
         return total + tables.row(pos)[0][depot]
 
-    routes: list[tuple[int, list[tuple[int, int]], float]] = []
+    # (depot, legs, cost, creation number); a route never changes once made,
+    # so a pair that failed to merge fails again and is remembered
+    routes: list[tuple[int, list[tuple[int, int]], float, int]] = []
+    created = itertools.count()
+    failed: set[tuple[int, int]] = set()
     for e in inst.required:
         best = None
         for d in anchors:
@@ -180,7 +186,7 @@ def augment_merge(inst: Instance) -> Solution | str:
                     best = (cost, d, (tail, head))
         if best is None:
             return f"required edge ({e.frm},{e.to}) unreachable within capacity"
-        routes.append((best[1], [best[2]], best[0]))
+        routes.append((best[1], [best[2]], best[0], next(created)))
 
     merged = True
     while merged:
@@ -190,17 +196,22 @@ def augment_merge(inst: Instance) -> Solution | str:
             for j in range(len(routes)):
                 if i == j or routes[i][0] != routes[j][0]:
                     continue
+                # both concatenations are tried either way round
+                pair = tuple(sorted((routes[i][3], routes[j][3])))
+                if pair in failed:
+                    continue
                 depot = routes[i][0]
                 for legs in (routes[i][1] + routes[j][1], routes[j][1] + routes[i][1]):
                     cost = chain_cost(depot, legs)
                     if cost <= inst.capacity + EPS and cost < routes[i][2] + routes[j][2] - EPS:
-                        keep = (depot, list(legs), cost)
+                        keep = (depot, list(legs), cost, next(created))
                         routes = [r for idx, r in enumerate(routes) if idx not in (i, j)]
                         routes.append(keep)
                         merged = True
                         break
                 if merged:
                     break
+                failed.add(pair)
             if merged:
                 break
 
@@ -209,13 +220,13 @@ def augment_merge(inst: Instance) -> Solution | str:
     by_depot: dict[int, list[int]] = {}
     for k in range(inst.vehicles):
         by_depot.setdefault(inst.start_depot(k), []).append(k)
-    for depot, legs, cost in sorted(routes, key=lambda r: (-r[2], r[0], r[1])):
+    for depot, legs, cost, _ in sorted(routes, key=lambda r: (-r[2], r[0], r[1])):
         walk: tuple[int, ...] = (depot,)
         for tail, head in legs:
             walk = walk + path_from_parents(tables.row(walk[-1])[1], walk[-1], tail)[1:] + (head,)
         walk = walk + path_from_parents(tables.row(walk[-1])[1], walk[-1], depot)[1:]
         trip = trip_from_walk(inst, walk, cost)
-        state.commit(state.next_vehicle(by_depot[depot]), trip)
+        state.commit(min((state.vehicles[k].available, k) for k in by_depot[depot])[1], trip)
     return state.solution()
 
 
@@ -223,8 +234,9 @@ def construct_strike(inst: Instance) -> Solution | str:
     """Alternate path-scanning passes with striking the traversed edges.
 
     When striking disconnects every start depot from the remaining required
-    edges, artificial edges (weight = shortest-path cost in the original
-    graph) rejoin them; the emitted walks splice the real path back in.
+    edges, artificial arcs rejoin them, each way weighted by its own
+    shortest-path cost in the original graph; the emitted walks splice the
+    real path back in.
     Frequently Unsolved by design.
     """
     node_count = inst.graph.node_count
@@ -297,8 +309,12 @@ def _add_artificial_edges(inst: Instance, tables: DistanceTables, residual_arcs,
         if (d, v) in artificial:
             continue
         residual_arcs.append(Arc(d, v, cost))
-        residual_arcs.append(Arc(v, d, cost))
         artificial[(d, v)] = nodes
-        artificial[(v, d)] = tuple(reversed(nodes))
+        # the way back is its own search: on an asymmetric graph the reversed
+        # path can cost more, or not exist
+        back = shortest_path(inst.graph, v, d)
+        if back is not None:
+            residual_arcs.append(Arc(v, d, back.cost))
+            artificial[(v, d)] = back.nodes
         added = True
     return added

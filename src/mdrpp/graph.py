@@ -214,14 +214,18 @@ def all_to_set(g: WeightedGraph, targets) -> tuple[list[float], list[int]]:
     targets = set(targets)
     if not targets:
         raise GraphError("targets must be nonempty")
+    run = DijkstraRun(_reversed_adjacency(g), targets)
+    run._advance(math.inf)
+    return run.costs, run.parents
+
+
+def _reversed_adjacency(g: WeightedGraph) -> list[list[tuple[int, float]]]:
     # ascending u, one arc per (u, v): every reversed list comes out sorted
     radj: list[list[tuple[int, float]]] = [[] for _ in range(g.node_count)]
     for u in range(g.node_count):
         for v, w in g.neighbors(u):
             radj[v].append((u, w))
-    run = DijkstraRun(radj, targets)
-    run._advance(math.inf)
-    return run.costs, run.parents
+    return radj
 
 
 def path_to_set(succ: list[int], src: int) -> tuple[int, ...]:
@@ -234,23 +238,40 @@ def path_to_set(succ: list[int], src: int) -> tuple[int, ...]:
 class DistanceTables:
     """Shortest-path tables over one graph, shared by the solvers.
 
-    Holds the `all_to_set` table toward `depots` and one resumable Dijkstra
-    run per source, started the first time the source is asked for and
-    advanced only as far as a caller needs.
+    Holds the `all_to_set` table toward `depots`, one resumable Dijkstra run
+    per source and one resumable reverse run per target tuple, each started
+    the first time it is asked for and advanced only as far as a caller
+    needs.  The reverse runs share one reversed adjacency.
     """
 
     def __init__(self, graph: WeightedGraph, depots):
         self.graph = graph
-        self.to_depot_cost, self.to_depot_succ = all_to_set(graph, depots)
+        self._radj = _reversed_adjacency(graph)
         self._runs: dict[int, DijkstraRun] = {}
+        self._reverse_runs: dict[tuple[int, ...], DijkstraRun] = {}
         # complete runs as returned by `row`: one lookup on the baselines' hot paths
         self._rows: dict[int, tuple[list[float], list[int]]] = {}
+        to_depot = self.reverse_run(depots, math.inf)
+        self.to_depot_cost, self.to_depot_succ = to_depot.costs, to_depot.parents
 
     def run(self, src: int, bound: float = -math.inf) -> DijkstraRun:
         """Run from src, advanced until every node within bound is settled."""
         run = self._runs.get(src)
         if run is None:
             run = self._runs[src] = DijkstraRun(self.graph._adj, [src])
+        run._advance(bound)
+        return run
+
+    def reverse_run(self, targets, bound: float = -math.inf) -> DijkstraRun:
+        """Run over reversed arcs from the targets, advanced until every node
+        within bound of them is settled.  Its costs are to the nearest target
+        and its parents are next hops toward it, as in `all_to_set`."""
+        targets = tuple(targets)
+        run = self._reverse_runs.get(targets)
+        if run is None:
+            if not targets:
+                raise GraphError("targets must be nonempty")
+            run = self._reverse_runs[targets] = DijkstraRun(self._radj, targets)
         run._advance(bound)
         return run
 

@@ -13,11 +13,20 @@ depot to depot and a vehicle fully recharges between trips.
 from __future__ import annotations
 
 import heapq
+import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 from .graph import DistanceTables, path_from_parents
 from .instance import Instance, RequiredEdge
 from .solution import EPS, Route, Solution, Trip, trip_from_walk, worst_route_time
+
+
+# relative bound on how far a reverse-run distance and the forward one can
+# round apart.  Each sums a shortest path of at most `nodes` arcs, each
+# addition off by at most 2**-53 of its result, so they differ by less than
+# 2 * nodes * 2**-53 of the distance: under 1e-9 below four million nodes
+_ROUNDING = 1e-9
 
 
 @dataclass
@@ -116,12 +125,22 @@ class FleetState:
 
     Coverage is one open flag per position in `inst.required`, so equal
     copies of an edge close together and each stays listed while open.
+
+    The dispatch queue is a heap of (available, index) entries.  `commit`
+    pushes a vehicle's new entry, and `next_vehicle` drops an entry once its
+    vehicle has retired or its availability has moved on.  A vehicle retired
+    here is revived on a `copy()`, whose queue is built from every vehicle.
     """
 
     inst: Instance
     vehicles: list[VehicleState]
     is_open: list[bool]
     remaining: int
+    _queue: list[tuple[float, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._queue = [(v.available, k) for k, v in enumerate(self.vehicles)]
+        heapq.heapify(self._queue)
 
     @property
     def uncovered(self) -> list[RequiredEdge]:
@@ -133,20 +152,16 @@ class FleetState:
         vehicles = [replace(v, trips=list(v.trips)) for v in self.vehicles]
         return FleetState(self.inst, vehicles, list(self.is_open), self.remaining)
 
-    def next_vehicle(self, candidates=None) -> int | None:
-        """Feasible vehicle with minimum availability time, ties by index.
-
-        `candidates` (ascending vehicle indices) narrows the choice; the
-        default is the whole fleet.
-        """
-        best = None
-        for k in range(len(self.vehicles)) if candidates is None else candidates:
-            v = self.vehicles[k]
-            if v.infeasible:
-                continue
-            if best is None or v.available < self.vehicles[best].available:
-                best = k
-        return best
+    def next_vehicle(self) -> int | None:
+        """Feasible vehicle with minimum availability time, ties by index."""
+        queue, vehicles = self._queue, self.vehicles
+        while queue:
+            available, k = queue[0]
+            veh = vehicles[k]
+            if not veh.infeasible and veh.available == available:
+                return k
+            heapq.heappop(queue)
+        return None
 
     def commit(self, k: int, trip: Trip) -> None:
         """Append trip to vehicle k's route and credit the edges it covers."""
@@ -157,6 +172,7 @@ class FleetState:
         veh.available += trip.duration
         veh.location = trip.nodes[-1]
         veh.trips.append(trip)
+        heapq.heappush(self._queue, (veh.available, k))
         positions, is_open = self.inst.required_positions, self.is_open
         for e in trip.covered:
             for pos in positions[e]:
@@ -175,8 +191,19 @@ def initial_fleet_state(inst: Instance) -> FleetState:
     return FleetState(inst, vehicles, [True] * len(inst.required), len(inst.required))
 
 
-def _edge_distance(costs: list[float], e: RequiredEdge) -> float:
-    return min(costs[e.frm], costs[e.to])
+def _edge_distance(tables: DistanceTables, src: int, e: RequiredEdge) -> float:
+    """Cost from src to the nearer endpoint of e.
+
+    The run from src is advanced only until that endpoint is settled.  A node
+    the run has not settled costs at least its frontier, so once the smaller
+    of the two endpoint costs is below the frontier it is final.
+    """
+    run = tables.run(src)
+    near = min(run.costs[e.frm], run.costs[e.to])
+    if near >= run.frontier:
+        run = tables.run(src, near)
+        near = min(run.costs[e.frm], run.costs[e.to])
+    return near
 
 
 def closest_feasible_edge(state: FleetState, k: int, queues: TripQueues
@@ -205,28 +232,37 @@ def closest_feasible_depot(state: FleetState, k: int, target: RequiredEdge,
     Closeness is shortest-path distance to the nearer endpoint of the target;
     ties break on the smaller depot id.  Returns None when no reachable depot
     improves on the vehicle's current distance.
+
+    A reverse run from the target's endpoints selects the depots that might
+    be strictly closer, nearest first.  Its sums round apart from forward
+    ones, so the test and the key read each depot's forward distance, and
+    the selection and the early stop keep a relative margin.
     """
     inst = state.inst
     veh = state.vehicles[k]
-    costs, parents = tables.row(veh.location)
-    current = _edge_distance(costs, target)
+    limit = inst.capacity + EPS
+    # every depot within reach is settled, with its walk; any other costs more
+    run = tables.run(veh.location, limit)
+    current = _edge_distance(tables, veh.location, target)
+    reach = (current - EPS) * (1 + _ROUNDING)
+    back = tables.reverse_run((target.frm, target.to), reach)
+    depots = set(inst.depots)
     best = None
-    for d in sorted(set(inst.depots)):
-        if d == veh.location:
+    for d in back.settled:
+        nearest = back.costs[d]
+        if nearest > reach or (best is not None and nearest > best[0] * (1 + _ROUNDING)):
+            break
+        if d not in depots or run.costs[d] > limit:
             continue
-        if costs[d] > inst.capacity + EPS:
-            continue
-        dist = _edge_distance(tables.row(d)[0], target)
-        if dist >= current - EPS:
-            continue
-        key = (dist, d)
-        if best is None or key < best[0]:
-            best = (key, d)
+        # the vehicle's own depot is as close as current and fails the test
+        dist = _edge_distance(tables, d, target)
+        if dist < current - EPS and (best is None or (dist, d) < best):
+            best = (dist, d)
     if best is None:
         return None
     depot = best[1]
-    nodes = path_from_parents(parents, veh.location, depot)
-    return depot, trip_from_walk(inst, nodes, costs[depot])
+    nodes = path_from_parents(run.parents, veh.location, depot)
+    return depot, trip_from_walk(inst, nodes, run.costs[depot])
 
 
 def solve_multitrip(inst: Instance) -> Solution:
@@ -265,8 +301,29 @@ def solve_multitrip(inst: Instance) -> Solution:
 
 
 def _closest_uncovered(state: FleetState, k: int, tables: DistanceTables) -> int:
-    """Position of the open edge nearest vehicle k, ties by position."""
-    costs = tables.row(state.vehicles[k].location)[0]
-    return min((_edge_distance(costs, e), pos)
-               for pos, (e, is_open) in enumerate(zip(state.inst.required, state.is_open))
-               if is_open)[1]
+    """Position of the open edge nearest vehicle k, ties by position.
+
+    The vehicle's run is advanced one cost level at a time until it settles
+    an open endpoint.  Nodes are settled in cost order, so the first
+    endpoint settled is a nearest one, and the advance that settled it
+    settled every node of equal cost too.
+    """
+    first: dict[int, int] = {}  # open endpoint -> least open position at it
+    for pos, (e, is_open) in enumerate(zip(state.inst.required, state.is_open)):
+        if is_open:
+            first.setdefault(e.frm, pos)
+            first.setdefault(e.to, pos)
+    src = state.vehicles[k].location
+    run = tables.run(src)
+    settled, seen = run.settled, 0
+    while seen == len(settled) or settled[seen] not in first:
+        if seen < len(settled):
+            seen += 1
+        elif run.frontier == math.inf:
+            return min(first.values())  # no open edge is reachable
+        else:
+            tables.run(src, run.frontier)
+    near = run.costs[settled[seen]]
+    ties = itertools.takewhile(lambda u: run.costs[u] == near,
+                               itertools.islice(settled, seen, None))
+    return min(first[u] for u in ties if u in first)

@@ -1,5 +1,6 @@
 """Shared fixtures: hand-built instances, a seeded tiny-instance corpus,
-seeded integer-weight instances and a digest of solver outputs."""
+seeded integer-weight instances, seeded grids and a digest of solver
+outputs."""
 
 import hashlib
 import random
@@ -101,6 +102,31 @@ def integer_instance(seed: int) -> Instance:
     return Instance(graph=g, depots=depots, required=tuple(required), vehicles=vehicles,
                     capacity=float(rng.randint(3, 9)), recharge_time=1.0,
                     start_depots=tuple(rng.choice(depots) for _ in range(vehicles)))
+
+
+def scaled_instance(nodes: int, edges: int, seed: int, kind: str) -> Instance:
+    """Scaled instance built as the benchmark builds it."""
+    base = random_connected_graph(nodes, edges, seed, integer_weights=False,
+                                  min_weight=0.5, max_weight=3.0)
+    return generate_instance(base, GenSpec(nodes, edges, seed, set_kind=kind))
+
+
+def grid_instance(side: int, seed: int) -> Instance:
+    """Seeded set-B instance on a side x side grid, node r*side + c: road
+    maps have this planar, large-diameter shape.  Weights are uniform in
+    [0.5, 3.0], rounded to 3 decimals, drawn in row-major node order, the
+    right edge before the down edge."""
+    rng = random.Random(seed)
+    edges = []
+    for r in range(side):
+        for c in range(side):
+            u = r * side + c
+            if c + 1 < side:
+                edges.append((u, u + 1, round(rng.uniform(0.5, 3.0), 3)))
+            if r + 1 < side:
+                edges.append((u, u + side, round(rng.uniform(0.5, 3.0), 3)))
+    return generate_instance(undirected_graph(side * side, edges),
+                             GenSpec(side * side, len(edges), seed, set_kind="B"))
 
 
 def digest(inst, result) -> str:

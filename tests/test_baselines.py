@@ -5,15 +5,12 @@ import math
 import pytest
 
 from mdrpp import (
-    GenSpec,
     Instance,
     RequiredEdge,
     augment_merge,
     check_feasibility,
     construct_strike,
-    generate_instance,
     path_scanning,
-    random_connected_graph,
     solve_exact,
     solve_multitrip,
 )
@@ -25,6 +22,7 @@ from mdrpp.solution import EPS, Trip, covered_by_walk
 from conftest import (
     digest,
     integer_instance,
+    scaled_instance,
     tiny_corpus,
     trivial_instance,
     two_vehicle_instance,
@@ -150,13 +148,6 @@ def test_construct_strike_artificial_edges_are_spliced():
         assert check_feasibility(inst, out) == []
 
 
-def _scaled_instance(nodes, edges, seed, kind):
-    """Scaled instance built as the benchmark builds it."""
-    base = random_connected_graph(nodes, edges, seed, integer_weights=False,
-                                  min_weight=0.5, max_weight=3.0)
-    return generate_instance(base, GenSpec(nodes, edges, seed, set_kind=kind))
-
-
 # digest of each solver's output on tiny_corpus(20)
 PINNED_OUTPUTS = {
     "mt": """
@@ -206,16 +197,32 @@ PINNED_SCALED_MT = {
 
 @pytest.mark.parametrize("spec", sorted(PINNED_SCALED_MT), ids=str)
 def test_mt_output_is_pinned_on_scaled_instances(spec):
-    inst = _scaled_instance(*spec)
+    inst = scaled_instance(*spec)
     assert digest(inst, solve_multitrip(inst)) == PINNED_SCALED_MT[spec]
 
 
 def test_cs_output_is_pinned_where_trial_copies_revive_vehicles():
     # construct_strike revives retired vehicles on each criterion's copy of
-    # the fleet; on this instance that decides the output
+    # the fleet.  No instance is known on which that decides the output:
+    # deleting the revival changed none on tiny_corpus(10000),
+    # integer_instance(0..9999), the mid-ladder recipe at seeds 0..299 and
+    # the 230-node sets at seeds 1..40.  This instance stands in for one,
+    # with its output pinned
     inst = tiny_corpus(1, offset=169)[0]
     assert inst.name == "C-n6-e8-s169"
-    assert digest(inst, construct_strike(inst)) == "4d07d9b209e274ea"
+    out = construct_strike(inst)
+    assert out == "no progress after striking"
+    assert digest(inst, out) == "ee54ed324962cd3c"
+
+
+def test_cs_return_arc_is_its_own_shortest_path():
+    # on these asymmetric set-C graphs the way back along an artificial arc
+    # costs more than the way out, so a plan that priced it as the way out
+    # would understate a trip past the capacity
+    for seed in (169, 274, 414):
+        inst = tiny_corpus(1, offset=seed)[0]
+        out = construct_strike(inst)
+        assert isinstance(out, str) or check_feasibility(inst, out) == []
 
 
 # digest of the ps, am and cs outputs on the seed-1 230-node instances, by set
@@ -230,7 +237,7 @@ PINNED_SCALED_BASELINES = {
 
 @pytest.mark.parametrize("kind", sorted(PINNED_SCALED_BASELINES))
 def test_baselines_output_is_pinned_on_scaled_instances(kind):
-    inst = _scaled_instance(230, 440, 1, kind)
+    inst = scaled_instance(230, 440, 1, kind)
     got = {alg: digest(inst, solver(inst))
            for alg, solver in (("ps", path_scanning), ("am", augment_merge),
                                ("cs", construct_strike))}

@@ -234,6 +234,34 @@ def test_resumed_run_matches_one_to_all(seed):
     assert (run.costs, run.parents) == (cost, succ)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_reverse_run_matches_all_to_set_at_every_bound(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 30)
+    arcs = []
+    for _ in range(rng.randint(n, 4 * n)):
+        u, v = rng.sample(range(n), 2)
+        arcs.append((u, v, float(rng.choice((0, 1, 1, 2, 3)))))
+    g = WeightedGraph(n, arcs)
+    depots = rng.sample(range(n), rng.randint(1, min(3, n)))
+    tables = DistanceTables(g, depots)
+    assert (tables.to_depot_cost, tables.to_depot_succ) == reference_all_to_set(g, depots)
+    targets = tuple(rng.sample(range(n), min(2, n)))
+    cost, succ = reference_all_to_set(g, targets)
+    for bound in sorted(rng.randint(0, 8) for _ in range(4)):
+        run = tables.reverse_run(targets, bound)
+        assert set(run.settled) == {v for v in range(n) if cost[v] <= bound}
+        for v in run.settled:
+            assert (run.costs[v], run.parents[v]) == (cost[v], succ[v])
+        # an unsettled node costs more than the bound, tentative or not
+        assert all(run.costs[v] > bound for v in range(n) if cost[v] > bound)
+    # one run per target tuple, resumed by every caller
+    assert tables.reverse_run(targets) is run
+    assert (tables.reverse_run(targets, INF).costs, run.parents) == (cost, succ)
+    with pytest.raises(GraphError):
+        tables.reverse_run(())
+
+
 def test_is_connected():
     assert is_connected(undirected_graph(3, [(0, 1, 1), (1, 2, 1)]))
     assert not is_connected(WeightedGraph(3, [(0, 1, 1.0), (1, 0, 1.0)]))

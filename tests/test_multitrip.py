@@ -1,9 +1,18 @@
 """Constructive multi-trip heuristic: fixtures, tie-breaks, subroutine oracles."""
 
+import math
+
 import pytest
 
-from mdrpp import RequiredEdge, check_feasibility, route_time, solve_multitrip
-from mdrpp.graph import DistanceTables, one_to_all
+from mdrpp import (
+    Instance,
+    RequiredEdge,
+    WeightedGraph,
+    check_feasibility,
+    route_time,
+    solve_multitrip,
+)
+from mdrpp.graph import DistanceTables, one_to_all, path_from_parents
 from mdrpp import multitrip
 from mdrpp.multitrip import (
     TripQueues,
@@ -11,11 +20,14 @@ from mdrpp.multitrip import (
     closest_feasible_edge,
     initial_fleet_state,
 )
-from mdrpp.solution import Trip, walk_cost
+from mdrpp.solution import EPS, Trip, walk_cost
 
 from conftest import (
+    digest,
+    grid_instance,
     integer_instance,
     reposition_instance,
+    scaled_instance,
     tiny_corpus,
     trivial_instance,
     two_vehicle_instance,
@@ -69,18 +81,33 @@ def test_trivial_fixture_single_trip():
 
 
 def test_select_next_vehicle_tie_breaks():
+    # availabilities are reached through commit, which the dispatch queue sees
     inst = two_vehicle_instance()
     state = initial_fleet_state(inst)
-    state.vehicles[0].available = 5.0
-    state.vehicles[1].available = 3.2
+    state.commit(0, Trip(nodes=(0,), duration=5.0))
+    state.commit(1, Trip(nodes=(5,), duration=3.2))
     assert state.next_vehicle() == 1
-    state.vehicles[0].available = 4.0
-    state.vehicles[1].available = 4.0
+    state = initial_fleet_state(inst)
+    state.commit(0, Trip(nodes=(0,), duration=4.0))
+    state.commit(1, Trip(nodes=(5,), duration=4.0))
     assert state.next_vehicle() == 0      # index breaks the tie
     state.vehicles[0].infeasible = True
     assert state.next_vehicle() == 1
     state.vehicles[1].infeasible = True
     assert state.next_vehicle() is None
+
+
+def test_vehicle_retired_on_a_state_is_dispatched_after_revival_on_its_copy():
+    # construct_strike revives every vehicle on each trial copy of its fleet
+    inst = two_vehicle_instance()
+    state = initial_fleet_state(inst)
+    state.commit(1, Trip(nodes=(5,), duration=2.0))
+    state.vehicles[0].infeasible = True
+    assert state.next_vehicle() == 1      # drops vehicle 0's entry
+    trial = state.copy()
+    trial.vehicles[0].infeasible = False
+    assert trial.next_vehicle() == 0
+    assert state.next_vehicle() == 1
 
 
 def tables_for(inst):
@@ -178,6 +205,26 @@ def test_closest_feasible_depot_properties():
     # once at depot 5 no strictly closer depot remains
     state.vehicles[0].location = 5
     assert closest_feasible_depot(state, 0, target, tables) is None
+
+
+def test_closest_feasible_depot_keeps_a_depot_whose_reverse_sum_rounds_up():
+    # from depot 1 to node 5, the forward sum ((2.8 + 2.4) + 2.6) + 2.3 is
+    # 10.099999999999998, strictly closer than the vehicle's 10.100000001 less
+    # EPS (10.1); the reverse sum 2.3 + 2.6 + 2.4 + 2.8 is 10.100000000000001
+    g = WeightedGraph(7, [
+        (0, 1, 1.0), (1, 0, 1.0), (0, 5, 10.100000001), (5, 0, 50.0),
+        (1, 2, 2.8), (2, 3, 2.4), (3, 4, 2.6), (4, 5, 2.3),
+        (2, 1, 50.0), (3, 2, 50.0), (4, 3, 50.0), (5, 4, 50.0), (5, 6, 1.0), (6, 5, 1.0),
+    ])
+    inst = Instance(graph=g, depots=(0, 1), required=(RequiredEdge(5, 6),), vehicles=1,
+                    capacity=5.0, recharge_time=1.0, start_depots=(0,))
+    state = initial_fleet_state(inst)
+    tables = tables_for(inst)
+    assert tables.reverse_run((5, 6), math.inf).costs[1] == 10.100000000000001
+    got = closest_feasible_depot(state, 0, inst.required[0], tables)
+    assert got is not None
+    assert got[0] == 1
+    assert got[1].nodes == (0, 1)
 
 
 def test_closest_feasible_depot_strictly_closer_enumeration():
@@ -330,3 +377,74 @@ def test_progress_guard_fires_within_the_stall_bound(monkeypatch):
         with pytest.raises(RuntimeError, match="failed to make progress"):
             solve_multitrip(inst)
         assert calls <= inst.vehicles * (len(inst.depots) + 1) + 1
+
+
+def test_repositioning_matches_full_rows_mid_solve(monkeypatch):
+    # every repositioning call of a solve must give what the rule gives on
+    # complete Dijkstra rows: the nearest open edge by (distance, position),
+    # and the reachable, strictly closer depot by (distance, depot id)
+    rows = {}
+
+    def row(inst, src):
+        if (id(inst), src) not in rows:
+            rows[id(inst), src] = one_to_all(inst.graph, src)
+        return rows[id(inst), src]
+
+    def nearest(costs, e):
+        return min(costs[e.frm], costs[e.to])
+
+    calls = {"edge": 0, "depot": 0, "moves": 0}
+    edge_search, depot_search = multitrip._closest_uncovered, multitrip.closest_feasible_depot
+
+    def checked_edge(state, k, tables):
+        costs = row(state.inst, state.vehicles[k].location)[0]
+        expected = min((nearest(costs, e), pos) for pos, e in enumerate(state.inst.required)
+                       if state.is_open[pos])[1]
+        got = edge_search(state, k, tables)
+        assert got == expected
+        calls["edge"] += 1
+        return got
+
+    def checked_depot(state, k, target, tables):
+        inst, location = state.inst, state.vehicles[k].location
+        costs, parents = row(inst, location)
+        current = nearest(costs, target)
+        best = None
+        for d in sorted(set(inst.depots)):
+            if d == location or costs[d] > inst.capacity + EPS:
+                continue
+            dist = nearest(row(inst, d)[0], target)
+            if dist < current - EPS and (best is None or (dist, d) < best):
+                best = (dist, d)
+        got = depot_search(state, k, target, tables)
+        calls["depot"] += 1
+        if best is None:
+            assert got is None
+            return got
+        depot = best[1]
+        assert got[0] == depot
+        assert got[1].nodes == path_from_parents(parents, location, depot)
+        assert got[1].duration == costs[depot]
+        calls["moves"] += 1
+        return got
+
+    monkeypatch.setattr(multitrip, "_closest_uncovered", checked_edge)
+    monkeypatch.setattr(multitrip, "closest_feasible_depot", checked_depot)
+    for inst in [integer_instance(seed) for seed in range(60)]:
+        solve_multitrip(inst)
+    small = dict(calls)
+    solve_multitrip(scaled_instance(230, 440, 1, "A"))
+    # calls made: 41 and 45 (7 moves) on the integer instances, 77 and 105
+    # (32 moves) on the set-A instance
+    assert small["edge"] >= 40 and small["depot"] >= 40 and small["moves"] >= 5
+    assert calls["edge"] - small["edge"] >= 70 and calls["moves"] - small["moves"] >= 30
+
+
+# digest of the mt output on seed-1 grids, by side
+PINNED_GRID_MT = {15: "fab0fe4aacdfb255", 20: "dd9cdb6907e1722c", 30: "df4434a9856020be"}
+
+
+@pytest.mark.parametrize("side", sorted(PINNED_GRID_MT))
+def test_mt_output_is_pinned_on_grids(side):
+    inst = grid_instance(side, 1)
+    assert digest(inst, solve_multitrip(inst)) == PINNED_GRID_MT[side]
