@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import insort
+from typing import NamedTuple
 
-from .graph import (Arc, DistanceTables, WeightedGraph, _lex_dijkstra, path_from_parents,
-                    shortest_path)
+from .graph import (Arc, DijkstraRun, DistanceTables, WeightedGraph, _lex_dijkstra,
+                    path_from_parents, shortest_path)
 from .instance import Instance
 from .multitrip import FleetState, initial_fleet_state
 from .solution import EPS, Solution, Trip, covered_by_walk, trip_from_walk
@@ -34,21 +36,79 @@ def _splice(nodes: tuple[int, ...], artificial: dict[tuple[int, int], tuple[int,
     return tuple(out)
 
 
-def _candidates(tables: DistanceTables, inst: Instance) -> list[tuple]:
-    """(position, tail, head, w, to_depot_cost[head]) of every orientation of a
-    required edge that the graph of `tables` can serve, in (position,
-    orientation) order."""
-    out = []
+class _Candidates(NamedTuple):
+    """Every orientation of a required edge that the graph of some tables can
+    serve, as (position, tail, head, w, to_depot_cost[head]) in (position,
+    orientation) order, and the same candidates in the orders the leg picks
+    walk."""
+
+    items: list[tuple]
+    # per node: (index in items, position, head, w, return cost), ascending index
+    from_tail: list[list[tuple]]
+    farthest_first: list[tuple]  # by (-return cost, index)
+    nearest_first: list[tuple]  # by (return cost, index)
+
+
+def _candidates(tables: DistanceTables, inst: Instance) -> _Candidates:
+    items = []
     min_weight, to_depot = tables.graph.min_weight, tables.to_depot_cost
     for pos, e in enumerate(inst.required):
         for tail, head in e.orientations():
             w = min_weight(tail, head)
             if w is not None:
-                out.append((pos, tail, head, w, to_depot[head]))
-    return out
+                items.append((pos, tail, head, w, to_depot[head]))
+    from_tail: list[list[tuple]] = [[] for _ in range(tables.graph.node_count)]
+    for idx, (pos, tail, head, w, ret) in enumerate(items):
+        from_tail[tail].append((idx, pos, head, w, ret))
+    # sorting is stable, so equal return costs stay in index order
+    return _Candidates(items, from_tail, sorted(items, key=lambda c: -c[4]),
+                       sorted(items, key=lambda c: c[4]))
 
 
-def _build_trip(tables: DistanceTables, candidates, inst: Instance, start: int,
+def _pick_leg(cands: _Candidates, run: DijkstraRun, is_open: list[bool], used: float,
+              limit: float, criterion: int) -> tuple[int, int, float] | None:
+    """(tail, head, deadhead + w) of the open candidate with the least (key,
+    index) whose trip back to a depot fits, or None; see `_build_trip` for
+    the keys.
+
+    A tail the run has not settled fails the capacity test, so criteria 0
+    and 3 walk the settled tails, nearest first, and stop once a deadhead
+    exceeds the best key: both keys are at least the deadhead.  The keys of
+    criteria 1 and 2 are fixed per candidate, so the first fitting candidate
+    in their order wins.
+    """
+    costs = run.costs
+    if criterion == 1 or criterion == 2:
+        for pos, tail, head, w, ret in (cands.farthest_first if criterion == 1
+                                        else cands.nearest_first):
+            if is_open[pos]:
+                deadhead = costs[tail]
+                if used + deadhead + w + ret <= limit:
+                    return tail, head, deadhead + w
+        return None
+    best, best_key = None, math.inf
+    if criterion == 4:
+        for pos, tail, head, w, ret in cands.items:
+            if is_open[pos]:
+                deadhead = costs[tail]
+                if used + deadhead + w + ret <= limit and -(deadhead + w) < best_key:
+                    best, best_key = (tail, head, deadhead + w), -(deadhead + w)
+        return best
+    best_idx, from_tail = -1, cands.from_tail
+    for tail in run.settled:
+        deadhead = costs[tail]
+        # the sum only grows with w and the return cost
+        if deadhead > best_key or used + deadhead > limit:
+            break
+        for idx, pos, head, w, ret in from_tail[tail]:
+            if is_open[pos] and used + deadhead + w + ret <= limit:
+                key = deadhead if criterion == 0 else deadhead + w
+                if key < best_key or key == best_key and idx < best_idx:
+                    best, best_key, best_idx = (tail, head, deadhead + w), key, idx
+    return best
+
+
+def _build_trip(tables: DistanceTables, candidates: _Candidates, inst: Instance, start: int,
                 is_open: list[bool], criterion: int, artificial) -> Trip | None:
     """One capacity-feasible trip from `start` greedily chaining open required
     edges; `is_open` (one flag per position in `inst.required`) is not changed.
@@ -65,29 +125,10 @@ def _build_trip(tables: DistanceTables, candidates, inst: Instance, start: int,
     walk: tuple[int, ...] = (start,)
     while True:
         # a tail the run has not settled costs more than this bound, so it
-        # fails the capacity test below with its tentative cost as with its
-        # true one; the tail picked is settled and its parents are final
+        # fails the capacity test with its tentative cost as with its true
+        # one; the tail picked is settled and its parents are final
         run = tables.run(cur, limit - used + EPS)
-        costs = run.costs
-        best, best_key = None, math.inf
-        for pos, tail, head, w, ret in candidates:
-            if not is_open[pos]:
-                continue
-            deadhead = costs[tail]
-            if used + deadhead + w + ret > limit:
-                continue
-            if criterion == 0:
-                key = deadhead
-            elif criterion == 1:
-                key = -ret
-            elif criterion == 2:
-                key = ret
-            elif criterion == 3:
-                key = deadhead + w
-            else:
-                key = -(deadhead + w)
-            if key < best_key:
-                best, best_key = (tail, head, deadhead + w), key
+        best = _pick_leg(candidates, run, is_open, used, limit, criterion)
         if best is None:
             break
         tail, head, serve = best
@@ -153,20 +194,38 @@ def path_scanning(inst: Instance) -> Solution | str:
 
 def augment_merge(inst: Instance) -> Solution | str:
     """Augment: one depot round trip per required edge; merge: concatenate
-    routes anchored at the same depot while a single trip stays feasible."""
+    routes anchored at the same depot while a single trip stays feasible.
+
+    Costs are read from forward runs, each advanced only as far as the cost
+    tests need, so every sum is the one a complete run gives.
+    """
     anchors = sorted(set(inst.start_depots))
     tables = DistanceTables(inst.graph, anchors)
+    limit = inst.capacity + EPS
+    min_weight = inst.graph.min_weight
 
-    def chain_cost(depot: int, legs) -> float:
+    def chain_cost(depot: int, legs, bound: float) -> float:
+        """Cost of the trip, or inf once a leg costs more than bound."""
         total = 0.0
         pos = depot
         for tail, head in legs:
-            w = inst.graph.min_weight(tail, head)
-            if w is None:
-                return float("inf")
-            total += tables.row(pos)[0][tail] + w
+            deadhead = tables.distance(pos, tail, bound)
+            if deadhead == math.inf:
+                return math.inf
+            total += deadhead + min_weight(tail, head)
             pos = head
-        return total + tables.row(pos)[0][depot]
+        return total + tables.distance(pos, depot, bound)
+
+    # reach[tail]: the indices in anchors, ascending, of the anchors whose
+    # capacity-bounded run settles tail; from any other anchor a trip
+    # through tail costs more than the capacity
+    runs = [tables.run(d, limit) for d in anchors]
+    tails = {tail for e in inst.required for tail, _ in e.orientations()}
+    reach: dict[int, list[int]] = {tail: [] for tail in tails}
+    for a, run in enumerate(runs):
+        for u in run.settled:
+            if u in reach:
+                reach[u].append(a)
 
     # (depot, legs, cost, creation number); a route never changes once made,
     # so a pair that failed to merge fails again and is remembered
@@ -174,59 +233,79 @@ def augment_merge(inst: Instance) -> Solution | str:
     created = itertools.count()
     failed: set[tuple[int, int]] = set()
     for e in inst.required:
+        # the cheapest (cost, anchor, orientation): anchors nearest first by
+        # the way out, each way back read only up to the best cost so far
+        options = []
+        for orient, (tail, head) in enumerate(e.orientations()):
+            w = min_weight(tail, head)
+            if w is not None:
+                options.extend((runs[a].costs[tail] + w, a, orient, tail, head)
+                               for a in reach[tail])
+        options.sort()
         best = None
-        for d in anchors:
-            for tail, head in e.orientations():
-                w = inst.graph.min_weight(tail, head)
-                if w is None:
-                    continue
-                back = tables.row(head)[0][d]
-                cost = tables.row(d)[0][tail] + w + back
-                if cost <= inst.capacity + EPS and (best is None or cost < best[0]):
-                    best = (cost, d, (tail, head))
+        for out, a, orient, tail, head in options:
+            if best is not None and out > best[0]:
+                break
+            cost = out + tables.distance(head, anchors[a], limit if best is None else best[0])
+            if cost <= limit and (best is None or (cost, a, orient) < best[:3]):
+                best = (cost, a, orient, (tail, head))
         if best is None:
             return f"required edge ({e.frm},{e.to}) unreachable within capacity"
-        routes.append((best[1], [best[2]], best[0], next(created)))
+        routes.append((anchors[best[1]], [best[3]], best[0], next(created)))
 
-    merged = True
-    while merged:
-        merged = False
-        routes.sort(key=lambda r: (-r[2], r[0]))
-        for i in range(len(routes)):
-            for j in range(len(routes)):
-                if i == j or routes[i][0] != routes[j][0]:
-                    continue
-                # both concatenations are tried either way round
-                pair = tuple(sorted((routes[i][3], routes[j][3])))
+    # Merge as a loop that re-sorted the routes by (-cost, depot, creation
+    # number) and rescanned every pair after each merge would: take the first
+    # untested pair that fits, its higher-ranked route's legs first.  Routes
+    # of different depots never merge, and a route's rank among its depot's
+    # routes does not depend on other depots, so each depot merges on its own
+    # and only its routes are rescanned.
+    def rank(route):
+        return -route[2], route[3]
+
+    def next_merge(ranked):
+        for i, first in enumerate(ranked):
+            for second in ranked[i + 1:]:
+                pair = tuple(sorted((first[3], second[3])))
                 if pair in failed:
                     continue
-                depot = routes[i][0]
-                for legs in (routes[i][1] + routes[j][1], routes[j][1] + routes[i][1]):
-                    cost = chain_cost(depot, legs)
-                    if cost <= inst.capacity + EPS and cost < routes[i][2] + routes[j][2] - EPS:
-                        keep = (depot, list(legs), cost, next(created))
-                        routes = [r for idx, r in enumerate(routes) if idx not in (i, j)]
-                        routes.append(keep)
-                        merged = True
-                        break
-                if merged:
-                    break
+                joint = first[2] + second[2]
+                bound = min(limit, joint)
+                for legs in (first[1] + second[1], second[1] + first[1]):
+                    cost = chain_cost(first[0], legs, bound)
+                    if cost <= limit and cost < joint - EPS:
+                        return first, second, (first[0], legs, cost)
                 failed.add(pair)
-            if merged:
-                break
+        return None
+
+    by_depot: dict[int, list] = {}
+    for route in routes:
+        by_depot.setdefault(route[0], []).append(route)
+    for ranked in by_depot.values():
+        ranked.sort(key=rank)
+        while (merge := next_merge(ranked)) is not None:
+            first, second, route = merge
+            ranked.remove(first)
+            ranked.remove(second)
+            insort(ranked, (*route, next(created)), key=rank)
 
     state = initial_fleet_state(inst)
     # every anchor is some vehicle's start depot
-    by_depot: dict[int, list[int]] = {}
+    vehicles: dict[int, list[int]] = {}
     for k in range(inst.vehicles):
-        by_depot.setdefault(inst.start_depot(k), []).append(k)
+        vehicles.setdefault(inst.start_depot(k), []).append(k)
+
+    def path(src: int, dst: int) -> tuple[int, ...]:
+        # every leg was read by a successful cost test, so dst is settled
+        return path_from_parents(tables.run(src).parents, src, dst)
+
+    routes = [route for ranked in by_depot.values() for route in ranked]
     for depot, legs, cost, _ in sorted(routes, key=lambda r: (-r[2], r[0], r[1])):
         walk: tuple[int, ...] = (depot,)
         for tail, head in legs:
-            walk = walk + path_from_parents(tables.row(walk[-1])[1], walk[-1], tail)[1:] + (head,)
-        walk = walk + path_from_parents(tables.row(walk[-1])[1], walk[-1], depot)[1:]
+            walk = walk + path(walk[-1], tail)[1:] + (head,)
+        walk = walk + path(walk[-1], depot)[1:]
         trip = trip_from_walk(inst, walk, cost)
-        state.commit(min((state.vehicles[k].available, k) for k in by_depot[depot])[1], trip)
+        state.commit(min((state.vehicles[k].available, k) for k in vehicles[depot])[1], trip)
     return state.solution()
 
 

@@ -30,6 +30,10 @@ class PathResult:
 
 
 def _as_arc(item) -> Arc:
+    # the parser's arcs already have these exact types and are kept as they are
+    if (type(item) is Arc and type(item.frm) is int and type(item.to) is int
+            and type(item.weight) is float):
+        return item
     frm, to, weight = item
     return Arc(int(frm), int(to), float(weight))
 
@@ -163,11 +167,14 @@ class DijkstraRun:
     def frontier(self) -> float:
         return self.heap[0][0] if self.heap else math.inf
 
-    def _advance(self, bound: float) -> None:
-        """Settle every node whose cost is at most bound.
+    def _advance(self, bound: float, stop: int = -1) -> None:
+        """Settle every node whose cost is at most bound, or, once `stop` is
+        settled, at most its cost.
 
         A run advanced in steps performs the same heap operations in the same
         order as one run to infinity, so its final costs and parents match.
+        Every advance settles whole cost levels, so a node is settled exactly
+        when its cost is below the frontier.
         """
         cost, parent, heap, settled = self.costs, self.parents, self.heap, self.settled
         adj = self.adj
@@ -176,6 +183,8 @@ class DijkstraRun:
             if c > cost[u]:
                 continue
             settled.append(u)
+            if u == stop:
+                bound = c
             for v, w in adj[u]:
                 nc = c + w
                 if nc < cost[v]:
@@ -274,6 +283,20 @@ class DistanceTables:
             run = self._reverse_runs[targets] = DijkstraRun(self._radj, targets)
         run._advance(bound)
         return run
+
+    def distance(self, src: int, dst: int, bound: float = math.inf) -> float:
+        """Cost from src to dst when it is at most bound, else inf.
+
+        The run from src is advanced only until dst is settled, with the
+        other nodes of its cost, or its frontier passes bound.  A finite cost
+        is the one a complete run gives, and the parents toward dst are final.
+        """
+        run = self.run(src)
+        costs = run.costs
+        if costs[dst] >= run.frontier:
+            run._advance(bound, dst)
+        cost = costs[dst]
+        return cost if cost <= bound else math.inf
 
     def row(self, src: int) -> tuple[list[float], list[int]]:
         """(costs, parents) of a complete Dijkstra run from src."""

@@ -191,7 +191,15 @@ def parse_instance(text: str) -> Instance:
         if count is not None and len(tokens) > count + 1:
             raise FormatError(line_no, f"{kind} takes {count} value(s), not {len(tokens) - 1}")
         try:
-            if kind == "NAME":
+            # most lines are arcs and required edges, so they are tested first
+            if kind == "ARC":
+                weight = float(tokens[3])
+                if not 0 <= weight < math.inf:
+                    raise FormatError(line_no, f"ARC weight {weight} is negative or not finite")
+                arcs.append(Arc(int(tokens[1]), int(tokens[2]), weight))
+            elif kind == "REQ":
+                required.append(_required_edge(tokens, line_no))
+            elif kind == "NAME":
                 name = " ".join(tokens[1:])
             elif kind == "NODES":
                 node_count = int(tokens[1])
@@ -205,13 +213,6 @@ def parse_instance(text: str) -> Instance:
                 recharge = float(tokens[1])
             elif kind == "START":
                 start = [int(t) for t in tokens[1:]]
-            elif kind == "ARC":
-                weight = float(tokens[3])
-                if not 0 <= weight < math.inf:
-                    raise FormatError(line_no, f"ARC weight {weight} is negative or not finite")
-                arcs.append(Arc(int(tokens[1]), int(tokens[2]), weight))
-            elif kind == "REQ":
-                required.append(_required_edge(tokens, line_no))
             else:
                 raise FormatError(line_no, f"unknown directive {tokens[0]!r}")
         except FormatError:

@@ -194,16 +194,14 @@ def initial_fleet_state(inst: Instance) -> FleetState:
 def _edge_distance(tables: DistanceTables, src: int, e: RequiredEdge) -> float:
     """Cost from src to the nearer endpoint of e.
 
-    The run from src is advanced only until that endpoint is settled.  A node
-    the run has not settled costs at least its frontier, so once the smaller
-    of the two endpoint costs is below the frontier it is final.
+    The run from src is advanced only until the endpoint with the smaller
+    tentative cost is settled: once that cost is final, the other endpoint
+    is read only up to it, which settles nothing more.
     """
-    run = tables.run(src)
-    near = min(run.costs[e.frm], run.costs[e.to])
-    if near >= run.frontier:
-        run = tables.run(src, near)
-        near = min(run.costs[e.frm], run.costs[e.to])
-    return near
+    costs = tables.run(src).costs
+    first, second = (e.frm, e.to) if costs[e.frm] <= costs[e.to] else (e.to, e.frm)
+    near = tables.distance(src, first)
+    return min(near, tables.distance(src, second, near))
 
 
 def closest_feasible_edge(state: FleetState, k: int, queues: TripQueues

@@ -1,5 +1,6 @@
 """Comparison heuristics: path scanning, augment-merge, construct-strike."""
 
+import itertools
 import math
 
 import pytest
@@ -17,10 +18,11 @@ from mdrpp import (
 from mdrpp import baselines
 from mdrpp.graph import DistanceTables, path_from_parents
 from mdrpp.multitrip import initial_fleet_state
-from mdrpp.solution import EPS, Trip, covered_by_walk
+from mdrpp.solution import EPS, Trip, covered_by_walk, trip_from_walk
 
 from conftest import (
     digest,
+    grid_instance,
     integer_instance,
     scaled_instance,
     tiny_corpus,
@@ -244,6 +246,24 @@ def test_baselines_output_is_pinned_on_scaled_instances(kind):
     assert got == PINNED_SCALED_BASELINES[kind]
 
 
+# digest of the ps, am and cs outputs on seed-1 grids, by side: bounded runs
+# stop shortest of full rows on these large-diameter graphs
+PINNED_GRID_BASELINES = {
+    15: {"ps": "9f1b069c91480368", "am": "e42b37eef87889e8", "cs": "9f1b069c91480368"},
+    20: {"ps": "1ec75de7956989f3", "am": "9c3aae643c9ab537", "cs": "1ec75de7956989f3"},
+    30: {"ps": "d97512c1d4d84357", "am": "8e28060986be0db0", "cs": "d97512c1d4d84357"},
+}
+
+
+@pytest.mark.parametrize("side", sorted(PINNED_GRID_BASELINES))
+def test_baselines_output_is_pinned_on_grids(side):
+    inst = grid_instance(side, 1)
+    got = {alg: digest(inst, solver(inst))
+           for alg, solver in (("ps", path_scanning), ("am", augment_merge),
+                               ("cs", construct_strike))}
+    assert got == PINNED_GRID_BASELINES[side]
+
+
 def _reference_trip(tables, inst, start, uncovered, criterion, artificial, seen):
     """Brute-force trip builder: complete Dijkstra rows, coverage of the whole
     walk so far and a filtered list of uncovered edges.  Counts in `seen` the
@@ -315,6 +335,83 @@ def test_build_trip_matches_brute_force_reference(monkeypatch):
     assert seen["trips"] >= 1500
     assert seen["ties"] >= 800
     assert seen["at_capacity"] >= 400
+
+
+def _reference_augment_merge(inst, seen):
+    """Augment-merge on complete Dijkstra rows: every anchor for every edge,
+    and a merge loop that re-sorts the routes by (-cost, depot) and rescans
+    every pair after each merge.  Counts in `seen` the merge rounds and those
+    whose sorted routes share a (-cost, depot) key, where the sort's
+    stability (so the creation order) decides."""
+    anchors = sorted(set(inst.start_depots))
+    tables = DistanceTables(inst.graph, anchors)
+    limit = inst.capacity + EPS
+
+    def chain_cost(depot, legs):
+        total = 0.0
+        pos = depot
+        for tail, head in legs:
+            total += tables.row(pos)[0][tail] + inst.graph.min_weight(tail, head)
+            pos = head
+        return total + tables.row(pos)[0][depot]
+
+    routes = []
+    for created, e in enumerate(inst.required):
+        best = None
+        for d in anchors:
+            for tail, head in e.orientations():
+                w = inst.graph.min_weight(tail, head)
+                if w is None:
+                    continue
+                cost = tables.row(d)[0][tail] + w + tables.row(head)[0][d]
+                if cost <= limit and (best is None or cost < best[0]):
+                    best = (cost, d, (tail, head))
+        if best is None:
+            return f"required edge ({e.frm},{e.to}) unreachable within capacity"
+        routes.append((best[1], [best[2]], best[0], created))
+    created = len(routes)
+    merged = True
+    while merged:
+        merged = False
+        routes.sort(key=lambda r: (-r[2], r[0]))
+        seen["rounds"] += 1
+        seen["tied"] += len({(r[2], r[0]) for r in routes}) < len(routes)
+        for i, j in itertools.permutations(range(len(routes)), 2):
+            (depot, legs_i, cost_i, _), (other, legs_j, cost_j, _) = routes[i], routes[j]
+            if depot != other:
+                continue
+            for legs in (legs_i + legs_j, legs_j + legs_i):
+                cost = chain_cost(depot, legs)
+                if cost <= limit and cost < cost_i + cost_j - EPS:
+                    routes = [r for k, r in enumerate(routes) if k not in (i, j)]
+                    routes.append((depot, legs, cost, created))
+                    created += 1
+                    merged = True
+                    break
+            if merged:
+                break
+
+    state = initial_fleet_state(inst)
+    for depot, legs, cost, _ in sorted(routes, key=lambda r: (-r[2], r[0], r[1])):
+        walk = (depot,)
+        for tail, head in legs:
+            walk = walk + path_from_parents(tables.row(walk[-1])[1], walk[-1], tail)[1:] + (head,)
+        walk = walk + path_from_parents(tables.row(walk[-1])[1], walk[-1], depot)[1:]
+        k = min((state.vehicles[k].available, k) for k in range(inst.vehicles)
+                if inst.start_depot(k) == depot)[1]
+        state.commit(k, trip_from_walk(inst, walk, cost))
+    return state.solution()
+
+
+def test_augment_merge_matches_full_row_reference():
+    seen = {"rounds": 0, "tied": 0}
+    corpus = [*tiny_corpus(60), *(integer_instance(seed) for seed in range(60)),
+              scaled_instance(230, 440, 1, "B"), scaled_instance(230, 440, 1, "C")]
+    for inst in corpus:
+        assert augment_merge(inst) == _reference_augment_merge(inst, seen), inst.name
+    # 308 merge rounds, 121 of them with routes that share a (-cost, depot) key
+    assert seen["rounds"] >= 250
+    assert seen["tied"] >= 100
 
 
 def test_build_trip_keeps_a_trip_at_the_limit_up_to_rounding():

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from mdrpp import WeightedGraph, is_connected, shortest_path
 from mdrpp.graph import (
+    Arc,
     DijkstraRun,
     DistanceTables,
     GraphError,
     all_to_set,
     one_to_all,
+    path_from_parents,
     path_to_set,
 )
 
@@ -262,6 +264,35 @@ def test_reverse_run_matches_all_to_set_at_every_bound(seed):
         tables.reverse_run(())
 
 
+def test_distance_matches_one_to_all_and_stops_at_its_level():
+    # 1 -> 2 weighs 0, so they share a cost level; nothing reaches node 5
+    g = WeightedGraph(6, [(0, 1, 1.0), (1, 2, 0.0), (2, 0, 2.0), (1, 3, 2.0), (2, 3, 2.0),
+                          (3, 4, 1.5), (4, 1, 1.0), (5, 0, 1.0)])
+    rows = [one_to_all(g, src) for src in range(6)]
+    for src, dst in itertools.product(range(6), repeat=2):
+        cost, parents = rows[src]
+        for bound in (0.0, 1.0, 2.5, 3.0, 4.5, INF):
+            tables = DistanceTables(g, [0])
+            got = tables.distance(src, dst, bound)
+            run = tables.run(src)
+            if cost[dst] < INF and cost[dst] <= bound:
+                assert got == cost[dst]
+                assert path_from_parents(run.parents, src, dst) == \
+                    path_from_parents(parents, src, dst)
+                level = cost[dst]
+            else:
+                assert got == INF
+                level = bound
+            # nothing past dst's cost level, or past the bound, is settled
+            assert all(run.costs[u] <= level for u in run.settled)
+            assert tables.distance(src, dst, bound) == got
+    # one run per source, resumed by each read, far targets first
+    tables = DistanceTables(g, [0])
+    for dst in (4, 0, 5, 3, 1):
+        assert tables.distance(2, dst) == rows[2][0][dst]
+    assert tables.run(2).costs == rows[2][0]
+
+
 def test_is_connected():
     assert is_connected(undirected_graph(3, [(0, 1, 1), (1, 2, 1)]))
     assert not is_connected(WeightedGraph(3, [(0, 1, 1.0), (1, 0, 1.0)]))
@@ -275,3 +306,14 @@ def test_graph_validation_errors():
     for weight in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             WeightedGraph(2, [(0, 1, weight), (1, 0, 1.0)])  # non-finite weight
+
+
+def test_arcs_are_converted_unless_already_exact():
+    exact = Arc(0, 1, 2.0)
+    g = WeightedGraph(3, [exact, (1, 2, 3), Arc(True, 2, 1)])
+    assert g.arcs[0] is exact
+    assert g.arcs[1:] == (Arc(1, 2, 3.0), Arc(1, 2, 1.0))
+    assert all(type(a) is Arc and [type(x) for x in a] == [int, int, float] for a in g.arcs)
+    # converted before the checks: True is node 1, so this is a self-loop at 1
+    with pytest.raises(GraphError, match="self-loop at node 1 "):
+        WeightedGraph(2, [Arc(True, 1, 1)])

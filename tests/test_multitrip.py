@@ -386,9 +386,10 @@ def test_repositioning_matches_full_rows_mid_solve(monkeypatch):
     rows = {}
 
     def row(inst, src):
+        # the entry holds inst, so no later instance can reuse its id
         if (id(inst), src) not in rows:
-            rows[id(inst), src] = one_to_all(inst.graph, src)
-        return rows[id(inst), src]
+            rows[id(inst), src] = inst, one_to_all(inst.graph, src)
+        return rows[id(inst), src][1]
 
     def nearest(costs, e):
         return min(costs[e.frm], costs[e.to])
