@@ -13,8 +13,7 @@ import math
 from bisect import insort
 from typing import NamedTuple
 
-from .graph import (Arc, DijkstraRun, DistanceTables, WeightedGraph, _lex_dijkstra,
-                    path_from_parents, shortest_path)
+from .graph import Arc, DijkstraRun, DistanceTables, WeightedGraph, path_from_parents
 from .instance import Instance
 from .multitrip import FleetState, initial_fleet_state
 from .solution import EPS, Solution, Trip, covered_by_walk, trip_from_walk
@@ -122,7 +121,7 @@ def _build_trip(tables: DistanceTables, candidates: _Candidates, inst: Instance,
     limit = inst.capacity + EPS
     cur = start
     used = 0.0
-    walk: tuple[int, ...] = (start,)
+    legs = []
     while True:
         # a tail the run has not settled costs more than this bound, so it
         # fails the capacity test with its tentative cost as with its true
@@ -132,20 +131,18 @@ def _build_trip(tables: DistanceTables, candidates: _Candidates, inst: Instance,
         if best is None:
             break
         tail, head, serve = best
-        leg = path_from_parents(run.parents, cur, tail) + (head,)
-        walk = walk + leg[1:]
-        used += serve
-        cur = head
         # the legs share their end nodes, so together they cover what the walk does
-        for e in covered_by_walk(inst, leg):
+        for e in covered_by_walk(inst, path_from_parents(run.parents, cur, tail) + (head,)):
             for pos in positions[e]:
                 is_open[pos] = False
-    if cur == start and len(walk) == 1:
+        legs.append((tail, head))
+        used += serve
+        cur = head
+    if not legs:
         return None
-    walk = walk + tables.return_walk(cur)[1:]
-    duration = used + tables.to_depot_cost[cur]
-    real = _splice(walk, artificial)
-    return trip_from_walk(inst, real, duration)
+    # every tail is settled, so the trip advances no run and sums `used`
+    walk, duration = tables.trip(start, legs)
+    return trip_from_walk(inst, _splice(walk, artificial), duration)
 
 
 def _scan_full(tables: DistanceTables, candidates, state: FleetState, criterion: int,
@@ -294,17 +291,11 @@ def augment_merge(inst: Instance) -> Solution | str:
     for k in range(inst.vehicles):
         vehicles.setdefault(inst.start_depot(k), []).append(k)
 
-    def path(src: int, dst: int) -> tuple[int, ...]:
-        # every leg was read by a successful cost test, so dst is settled
-        return path_from_parents(tables.run(src).parents, src, dst)
-
     routes = [route for ranked in by_depot.values() for route in ranked]
-    for depot, legs, cost, _ in sorted(routes, key=lambda r: (-r[2], r[0], r[1])):
-        walk: tuple[int, ...] = (depot,)
-        for tail, head in legs:
-            walk = walk + path(walk[-1], tail)[1:] + (head,)
-        walk = walk + path(walk[-1], depot)[1:]
-        trip = trip_from_walk(inst, walk, cost)
+    for depot, legs, _, _ in sorted(routes, key=lambda r: (-r[2], r[0], r[1])):
+        # every leg was read by a successful cost test, so the trip advances
+        # no run and sums the route's cost
+        trip = trip_from_walk(inst, *tables.trip(depot, legs, depot))
         state.commit(min((state.vehicles[k].available, k) for k in vehicles[depot])[1], trip)
     return state.solution()
 
@@ -320,6 +311,7 @@ def construct_strike(inst: Instance) -> Solution | str:
     """
     node_count = inst.graph.node_count
     residual_arcs = list(inst.graph.arcs)
+    original = DistanceTables(inst.graph, inst.start_depots)
     artificial: dict[tuple[int, int], tuple[int, ...]] = {}
     state = initial_fleet_state(inst)
     passes = 0
@@ -345,7 +337,7 @@ def construct_strike(inst: Instance) -> Solution | str:
             if best is None or key < best[0]:
                 best = (key, trial)
         if best is None:
-            if not _add_artificial_edges(inst, tables, residual_arcs, artificial,
+            if not _add_artificial_edges(inst, tables, original, residual_arcs, artificial,
                                          state.uncovered):
                 return "no progress after striking"
             continue
@@ -364,36 +356,30 @@ def _walk_arcs(state: FleetState) -> set[tuple[int, int]]:
     return pairs
 
 
-def _add_artificial_edges(inst: Instance, tables: DistanceTables, residual_arcs, artificial,
-                          uncovered) -> bool:
+def _add_artificial_edges(inst: Instance, tables: DistanceTables, original: DistanceTables,
+                          residual_arcs, artificial, uncovered) -> bool:
     """Join each start depot cut off from every uncovered endpoint (over the
-    residual graph of `tables`) to the nearest endpoint by an artificial edge."""
+    residual graph of `tables`) to the nearest endpoint by an artificial edge.
+
+    Each way is priced and walked in the original graph, by `original`: the
+    endpoint is the cheapest one from the depot, the least node on ties.
+    """
     endpoints = sorted({n for e in uncovered for n in (e.frm, e.to)})
     added = False
     for d in sorted(set(inst.start_depots)):
-        costs = tables.row(d)[0]
-        if any(costs[v] < float("inf") for v in endpoints):
+        costs = tables.run(d, math.inf).costs
+        if any(costs[v] < math.inf for v in endpoints):
             continue
-        # one search serves every endpoint: a search stopped at an endpoint
-        # pops the same entries up to it, so its path is the same
-        paths = _lex_dijkstra(inst.graph, d)
-        best = None
-        for v in endpoints:
-            if v in paths and (best is None or paths[v][0] < best[0]):
-                best = paths[v]
-        if best is None or len(best[1]) < 2:
+        costs = original.run(d, math.inf).costs
+        cost, v = min((costs[v], v) for v in endpoints)
+        if cost == math.inf or (d, v) in artificial:
             continue
-        cost, nodes = best
-        v = nodes[-1]
-        if (d, v) in artificial:
-            continue
-        residual_arcs.append(Arc(d, v, cost))
-        artificial[(d, v)] = nodes
-        # the way back is its own search: on an asymmetric graph the reversed
+        # the way back is its own path: on an asymmetric graph the reversed
         # path can cost more, or not exist
-        back = shortest_path(inst.graph, v, d)
-        if back is not None:
-            residual_arcs.append(Arc(v, d, back.cost))
-            artificial[(v, d)] = back.nodes
+        for a, b in ((d, v), (v, d)):
+            if original.distance(a, b) < math.inf:
+                nodes, weight = original.trip(a, (), b)
+                residual_arcs.append(Arc(a, b, weight))
+                artificial[(a, b)] = nodes
         added = True
     return added

@@ -1,7 +1,8 @@
 """Command-line front end: generate, solve, check, export-milp, bench, gap.
 
 Exit-code policy: usage errors exit 2; an Unsolved outcome is data, not an
-error, and exits 0; check failures and decode/IO failures exit 1.
+error, and exits 0; check failures, a solved plan that fails its check, and
+decode/IO failures exit 1.
 """
 
 from __future__ import annotations
@@ -130,6 +131,11 @@ def cmd_solve(args) -> int:
             _write(args.out, write_unsolved(inst, reason))
         print(f"{name} {args.algorithm} - {elapsed:.1f}")
         return 0
+    findings = check_feasibility(inst, sol)
+    if findings:
+        for finding in findings:
+            print(f"solve: {args.algorithm} plan fails the check: {finding}", file=sys.stderr)
+        return 1
     if args.out:
         _write(args.out, write_solution(inst, sol))
     tail = " optimal" if optimal else (" bound" if optimal is False else "")

@@ -213,21 +213,6 @@ def path_from_parents(parents: list[int], src: int, dst: int) -> tuple[int, ...]
     return tuple(nodes)
 
 
-def all_to_set(g: WeightedGraph, targets) -> tuple[list[float], list[int]]:
-    """Multi-source Dijkstra over reversed arcs.
-
-    Returns (cost, successor): cost[v] is the cheapest forward cost from v to
-    any target and successor[v] the next hop on that walk; successor is -1
-    at the targets (cost 0) and where no target is reachable.
-    """
-    targets = set(targets)
-    if not targets:
-        raise GraphError("targets must be nonempty")
-    run = DijkstraRun(_reversed_adjacency(g), targets)
-    run._advance(math.inf)
-    return run.costs, run.parents
-
-
 def _reversed_adjacency(g: WeightedGraph) -> list[list[tuple[int, float]]]:
     # ascending u, one arc per (u, v): every reversed list comes out sorted
     radj: list[list[tuple[int, float]]] = [[] for _ in range(g.node_count)]
@@ -237,20 +222,14 @@ def _reversed_adjacency(g: WeightedGraph) -> list[list[tuple[int, float]]]:
     return radj
 
 
-def path_to_set(succ: list[int], src: int) -> tuple[int, ...]:
-    nodes = [src]
-    while succ[nodes[-1]] != -1:
-        nodes.append(succ[nodes[-1]])
-    return tuple(nodes)
-
-
 class DistanceTables:
     """Shortest-path tables over one graph, shared by the solvers.
 
-    Holds the `all_to_set` table toward `depots`, one resumable Dijkstra run
-    per source and one resumable reverse run per target tuple, each started
-    the first time it is asked for and advanced only as far as a caller
-    needs.  The reverse runs share one reversed adjacency.
+    Holds the cost to the nearest of `depots` and the next hop toward it,
+    one resumable Dijkstra run per source and one resumable reverse run per
+    target tuple, each started the first time it is asked for and advanced
+    only as far as a caller needs.  The reverse runs share one reversed
+    adjacency.  `trip` turns a solver's legs into a walk and its duration.
     """
 
     def __init__(self, graph: WeightedGraph, depots):
@@ -258,8 +237,6 @@ class DistanceTables:
         self._radj = _reversed_adjacency(graph)
         self._runs: dict[int, DijkstraRun] = {}
         self._reverse_runs: dict[tuple[int, ...], DijkstraRun] = {}
-        # complete runs as returned by `row`: one lookup on the baselines' hot paths
-        self._rows: dict[int, tuple[list[float], list[int]]] = {}
         to_depot = self.reverse_run(depots, math.inf)
         self.to_depot_cost, self.to_depot_succ = to_depot.costs, to_depot.parents
 
@@ -274,7 +251,7 @@ class DistanceTables:
     def reverse_run(self, targets, bound: float = -math.inf) -> DijkstraRun:
         """Run over reversed arcs from the targets, advanced until every node
         within bound of them is settled.  Its costs are to the nearest target
-        and its parents are next hops toward it, as in `all_to_set`."""
+        and its parents are next hops toward it."""
         targets = tuple(targets)
         run = self._reverse_runs.get(targets)
         if run is None:
@@ -298,14 +275,35 @@ class DistanceTables:
         cost = costs[dst]
         return cost if cost <= bound else math.inf
 
-    def row(self, src: int) -> tuple[list[float], list[int]]:
-        """(costs, parents) of a complete Dijkstra run from src."""
-        row = self._rows.get(src)
-        if row is None:
-            run = self.run(src, math.inf)
-            row = self._rows[src] = run.costs, run.parents
-        return row
+    def trip(self, start: int, legs, end: int | None = None) -> tuple[tuple[int, ...], float]:
+        """Walk and duration of a trip from start over the oriented required
+        arcs `legs`, (tail, head) each, in order, then to end, or to the
+        nearest depot when end is None.
+
+        Every path is a cheapest one, read from the parents of the run from
+        where it starts.  `distance` advances that run only until the path's
+        end is settled, so a caller whose runs have settled every tail and
+        the end gets its trip without advancing any.  The duration sums
+        `acc += deadhead + w` per leg, then `acc + back`, in the order the
+        solvers test the capacity.
+        """
+        walk, acc, pos = [start], 0.0, start
+        min_weight = self.graph.min_weight
+        for tail, head in legs:
+            acc += self.distance(pos, tail) + min_weight(tail, head)
+            walk += path_from_parents(self._runs[pos].parents, pos, tail)[1:]
+            walk.append(head)
+            pos = head
+        if end is None:
+            walk += self.return_walk(pos)[1:]
+            return tuple(walk), acc + self.to_depot_cost[pos]
+        back = self.distance(pos, end)
+        walk += path_from_parents(self._runs[pos].parents, pos, end)[1:]
+        return tuple(walk), acc + back
 
     def return_walk(self, node: int) -> tuple[int, ...]:
         """Cheapest walk from node to the nearest depot."""
-        return path_to_set(self.to_depot_succ, node)
+        succ, nodes = self.to_depot_succ, [node]
+        while succ[nodes[-1]] != -1:
+            nodes.append(succ[nodes[-1]])
+        return tuple(nodes)

@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 
-from .graph import DistanceTables, path_from_parents
+from .graph import DistanceTables
 from .instance import Instance, RequiredEdge
 from .solution import EPS, Route, Solution, Trip, trip_from_walk, worst_route_time
 
@@ -217,10 +217,11 @@ def closest_feasible_edge(state: FleetState, k: int, queues: TripQueues
     top = queues.cheapest(location)
     if top is None:
         return None
-    duration, pos, _, tail, head = top
-    nodes = path_from_parents(queues.tables.run(location).parents, location, tail)
-    nodes = nodes + (head,) + queues.tables.return_walk(head)[1:]
-    return state.inst.required[pos], trip_from_walk(state.inst, nodes, duration)
+    _, pos, _, tail, head = top
+    # the run from location has settled tail, and the trip sums its duration
+    # as the queue did
+    return state.inst.required[pos], trip_from_walk(
+        state.inst, *queues.tables.trip(location, [(tail, head)]))
 
 
 def closest_feasible_depot(state: FleetState, k: int, target: RequiredEdge,
@@ -259,8 +260,7 @@ def closest_feasible_depot(state: FleetState, k: int, target: RequiredEdge,
     if best is None:
         return None
     depot = best[1]
-    nodes = path_from_parents(run.parents, veh.location, depot)
-    return depot, trip_from_walk(inst, nodes, run.costs[depot])
+    return depot, trip_from_walk(inst, *tables.trip(veh.location, (), depot))
 
 
 def solve_multitrip(inst: Instance) -> Solution:

@@ -1,8 +1,10 @@
 """Shared fixtures: hand-built instances, a seeded tiny-instance corpus,
-seeded integer-weight instances, seeded grids and a digest of solver
-outputs."""
+seeded integer-weight instances, seeded grids, a reference to-target table
+and a digest of solver outputs."""
 
 import hashlib
+import heapq
+import math
 import random
 
 import pytest
@@ -127,6 +129,40 @@ def grid_instance(side: int, seed: int) -> Instance:
                 edges.append((u, u + side, round(rng.uniform(0.5, 3.0), 3)))
     return generate_instance(undirected_graph(side * side, edges),
                              GenSpec(side * side, len(edges), seed, set_kind="B"))
+
+
+def reversed_adjacency(g: WeightedGraph) -> list[list[tuple[int, float]]]:
+    radj = [[] for _ in range(g.node_count)]
+    for u in range(g.node_count):
+        for v, w in g.neighbors(u):
+            radj[v].append((u, w))
+    return radj
+
+
+def reference_all_to_set(g: WeightedGraph, targets) -> tuple[list[float], list[int]]:
+    """(cost, successor) toward the nearest target: the one-shot
+    multi-source loop over reversed arcs that the to-depot table ran before
+    it became a `DijkstraRun`."""
+    targets = sorted(set(targets))
+    radj = reversed_adjacency(g)
+    cost = [math.inf] * g.node_count
+    succ = [-1] * g.node_count
+    heap = []
+    for t in targets:
+        cost[t] = 0.0
+        heap.append((0.0, t))
+    heapq.heapify(heap)
+    while heap:
+        c, v = heapq.heappop(heap)
+        if c > cost[v]:
+            continue
+        for u, w in radj[v]:
+            nc = c + w
+            if nc < cost[u]:
+                cost[u] = nc
+                succ[u] = v
+                heapq.heappush(heap, (nc, u))
+    return cost, succ
 
 
 def digest(inst, result) -> str:

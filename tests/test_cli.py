@@ -8,7 +8,9 @@ import pytest
 from mdrpp import (
     Instance,
     RequiredEdge,
+    Route,
     Solution,
+    Trip,
     cli,
     exact,
     parse_instance,
@@ -142,6 +144,20 @@ def test_solve_unsolved_writes_reason_and_exits_zero(tmp_path, capsys):
     assert code == 0
     assert out.split()[2] == "-"
     assert open(sol_path).read().startswith("UNSOLVED")
+
+
+def test_solve_checks_the_plan_before_reporting_it(tmp_path, capsys, monkeypatch):
+    # a plan whose one trip runs over the capacity is an error, not a makespan
+    inst = trivial_instance()
+    over = Trip(nodes=(0, 1, 2, 3, 0, 1, 0), duration=6.0, covered=(RequiredEdge(0, 1),))
+    monkeypatch.setattr(cli, "solve_multitrip",
+                        lambda inst: Solution((Route(0, (over,)),), 6.0))
+    inst_path = write_instance(tmp_path, inst)
+    sol_path = tmp_path / "over.sol"
+    code, out, err = run(capsys, "solve", inst_path, "mt", "--out", str(sol_path))
+    assert code == 1 and out == ""
+    assert "vehicle 0 trip 0: duration 6.0 exceeds capacity 5.0" in err
+    assert not sol_path.exists()
 
 
 def test_check_flags_tampered_solution(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Shortest-path layer checked against Floyd-Warshall and brute-force walks."""
 
-import heapq
 import itertools
 import random
 
@@ -9,18 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdrpp import WeightedGraph, is_connected, shortest_path
-from mdrpp.graph import (
-    Arc,
-    DijkstraRun,
-    DistanceTables,
-    GraphError,
-    all_to_set,
-    one_to_all,
-    path_from_parents,
-    path_to_set,
-)
+from mdrpp.graph import Arc, DijkstraRun, DistanceTables, GraphError, one_to_all, path_from_parents
 
-from conftest import undirected_graph
+from conftest import reference_all_to_set, reversed_adjacency, undirected_graph
 
 INF = float("inf")
 
@@ -151,53 +141,21 @@ def test_lexicographic_tie_break_is_deterministic():
         assert shortest_path(g, 0, 3).nodes == (0, 1, 3)
 
 
-def reversed_adjacency(g: WeightedGraph) -> list[list[tuple[int, float]]]:
-    radj = [[] for _ in range(g.node_count)]
-    for u in range(g.node_count):
-        for v, w in g.neighbors(u):
-            radj[v].append((u, w))
-    return radj
-
-
-def reference_all_to_set(g: WeightedGraph, targets) -> tuple[list[float], list[int]]:
-    """The one-shot multi-source loop over reversed arcs that `all_to_set`
-    ran before it became a `DijkstraRun`."""
-    targets = sorted(set(targets))
-    radj = reversed_adjacency(g)
-    cost = [INF] * g.node_count
-    succ = [-1] * g.node_count
-    heap = []
-    for t in targets:
-        cost[t] = 0.0
-        heap.append((0.0, t))
-    heapq.heapify(heap)
-    while heap:
-        c, v = heapq.heappop(heap)
-        if c > cost[v]:
-            continue
-        for u, w in radj[v]:
-            nc = c + w
-            if nc < cost[u]:
-                cost[u] = nc
-                succ[u] = v
-                heapq.heappush(heap, (nc, u))
-    return cost, succ
-
-
-def test_all_to_set_agrees_with_per_node_runs():
+def test_to_depot_table_agrees_with_per_node_runs():
     g = build_random(123)
     depots = {0, g.node_count - 1}
-    cost, succ = all_to_set(g, depots)
+    tables = DistanceTables(g, depots)
+    cost = tables.to_depot_cost
     for s in range(g.node_count):
         assert cost[s] == pytest.approx(min(shortest_path(g, s, d).cost for d in depots),
                                         abs=1e-9)
-        walk = path_to_set(succ, s)
+        walk = tables.return_walk(s)
         assert walk[-1] in depots
         total = sum(g.min_weight(i, j) for i, j in zip(walk, walk[1:]))
         assert total == pytest.approx(cost[s], abs=1e-9)
     for targets in ((), (g.node_count,)):
         with pytest.raises(GraphError):
-            all_to_set(g, targets)
+            DistanceTables(g, targets)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -221,12 +179,14 @@ def test_resumed_run_matches_one_to_all(seed):
         assert run.frontier == min((costs[v] for v in range(n) if v not in within), default=INF)
         for v in within:
             assert (run.costs[v], run.parents[v]) == (costs[v], parents[v])
-    assert tables.row(src) == (costs, parents)
-    # the to-target table, and a reverse multi-source run advanced in the
+    run = tables.run(src, INF)
+    assert (run.costs, run.parents) == (costs, parents)
+    # the to-target run, and a reverse multi-source run advanced in the
     # same steps, match the one-shot reference loop
     targets = rng.sample(range(n), rng.randint(1, min(4, n)))
     cost, succ = reference_all_to_set(g, targets)
-    assert all_to_set(g, targets) == (cost, succ)
+    run = tables.reverse_run(targets, INF)
+    assert (run.costs, run.parents) == (cost, succ)
     run = DijkstraRun(reversed_adjacency(g), targets)
     for bound in bounds:
         run._advance(bound)

@@ -82,10 +82,11 @@ def imported(module: str, name: str):
     return importlib.import_module(f"{module}.{name}")
 
 
-def test_benchmark_imports_resolve():
-    # a rename in the package would otherwise surface only as a failed benchmark run
+def unresolved_imports(paths) -> list[str]:
+    """Names the files import from mdrpp, or read off an mdrpp module they
+    imported by name, that do not exist."""
     missing = []
-    for path in sorted(BENCHMARK.glob("*.py")):
+    for path in paths:
         tree = ast.parse(path.read_text())
         modules = {}
         for node in ast.walk(tree):
@@ -103,7 +104,18 @@ def test_benchmark_imports_resolve():
                     and node.value.id in modules
                     and not hasattr(modules[node.value.id], node.attr)):
                 missing.append(f"{path.name}: {node.value.id}.{node.attr}")
-    assert missing == []
+    return missing
+
+
+def test_benchmark_imports_resolve():
+    # a rename in the package would otherwise surface only as a failed benchmark run
+    assert unresolved_imports(sorted(BENCHMARK.glob("*.py"))) == []
+
+
+def test_test_imports_resolve():
+    # a deleted library name would otherwise surface as a collection error,
+    # which a run that continues past collection errors does not fail on
+    assert unresolved_imports(sorted(TESTS.glob("*.py"))) == []
 
 
 def benchmark_sample(workloads, tmp_path):
