@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .graph import one_to_all, shortest_path
 from .instance import Instance, RequiredEdge
-from .solution import EPS, Route, Solution, route_time, trip_from_walk, worst_route_time
+from .solution import EPS, Route, Solution, trip_from_walk, worst_route_time
 
 
 class OracleSizeError(ValueError):
@@ -281,6 +281,17 @@ def enumerate_exhaustive(inst: Instance, f_cap: int = 3,
     """Brute-force optimum over every assignment/order/orientation/route shape.
 
     Guarded to |E_u| <= 5, K <= 2, 1 <= f_cap <= 3; returns None when infeasible.
+
+    The enumeration stops at its best plan so far.  A node's route time so
+    far, `spent + (trips - 1) * rt` with `spent` its trip durations added
+    left to right from 0, is the sum `route_time` computes (its `sum` adds
+    left to right before Python 3.12).  A node whose time is already at or
+    above the bound is cut: the bound is the vehicle's least route time so
+    far (over all its edge orders and orientations), and starts at the best
+    makespan of the assignments before, which a vehicle must beat for its
+    assignment to improve on it.  Durations and rt are non-negative and float
+    addition is monotone, so no leaf below a cut node is below the bound, and
+    the least value found is the same float as without cuts.
     """
     if f_cap < 1:
         raise OracleSizeError("f_cap must be positive")
@@ -295,21 +306,25 @@ def enumerate_exhaustive(inst: Instance, f_cap: int = 3,
     depots = list(inst.depots)
     rt = inst.recharge_time
 
-    def route_values(start: int, seq: tuple[tuple[int, int, float], ...]):
-        """All route times covering `seq` (oriented legs) in order within f_cap
-        trips, allowing interleaved repositioning hops."""
-        results: list[float] = []
+    def least_route(start: int, seq: tuple[tuple[int, int, float], ...], bound: float) -> float:
+        """The least route time below `bound` covering the oriented legs `seq` in
+        order within f_cap trips, hops allowed; `bound` when there is none."""
+        least = bound
 
-        def rec(i: int, depot: int, trips_left: int, durations: tuple[float, ...]):
-            if i == len(seq):
-                results.append(route_time(durations, rt))
+        def rec(i: int, depot: int, trips: int, spent: float):
+            nonlocal least
+            t = spent + (trips - 1) * rt
+            if t >= least:
                 return
-            if trips_left == 0:
+            if i == len(seq):
+                least = t
+                return
+            if trips == f_cap:
                 return
             # repositioning hop
             for d in depots:
                 if d != depot and dist[depot][d] <= cap:
-                    rec(i, d, trips_left - 1, durations + (dist[depot][d],))
+                    rec(i, d, trips + 1, spent + dist[depot][d])
             # covering trip over the next j legs
             for j in range(1, min(max_edges_per_trip, len(seq) - i) + 1):
                 run = 0.0
@@ -326,37 +341,32 @@ def enumerate_exhaustive(inst: Instance, f_cap: int = 3,
                 for d in depots:
                     total = run + dist[pos][d]
                     if total <= cap:
-                        rec(i + j, d, trips_left - 1, durations + (total,))
+                        rec(i + j, d, trips + 1, spent + total)
 
-        rec(0, start, f_cap, ())
-        return results
+        rec(0, start, 0, 0.0)
+        return least
 
     best = float("inf")
     idx = range(len(required))
     for assign in itertools.product(range(inst.vehicles), repeat=len(required)):
         per_vehicle_best: list[float] = []
-        feasible = True
         for k in range(inst.vehicles):
             mine = [required[i] for i in idx if assign[i] == k]
             if not mine:
                 per_vehicle_best.append(0.0)
                 continue
-            best_k = float("inf")
+            best_k = best
             for perm in itertools.permutations(mine):
                 for orients in itertools.product(*[e.orientations() for e in perm]):
                     seq = tuple((tail, head, _edge_weight(inst, tail, head))
                                 for tail, head in orients)
-                    for value in route_values(inst.start_depot(k), seq):
-                        if value < best_k:
-                            best_k = value
-            if best_k == float("inf"):
-                feasible = False
+                    best_k = least_route(inst.start_depot(k), seq, best_k)
+            if best_k >= best:
                 break
             per_vehicle_best.append(best_k)
-        if feasible:
-            value = max(per_vehicle_best)
-            if value < best:
-                best = value
+        else:
+            # every vehicle beat `best`, so their worst does too
+            best = max(per_vehicle_best)
     if best == float("inf"):
         return None
     return best

@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .instance import Instance, add_dummy_nodes
 from .solution import (
@@ -45,8 +46,7 @@ class TripCapExceeded(RuntimeError):
     """Raised by the driver when no trip count up to the cap is feasible."""
 
 
-@dataclass(frozen=True)
-class Column:
+class Column(NamedTuple):
     name: str
     lower: float
     upper: float
@@ -54,8 +54,7 @@ class Column:
     objective: float
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     name: str
     sense: str  # 'E', 'L' or 'G'
     rhs: float
@@ -227,6 +226,7 @@ def _subtour_rows(inst: Instance, arcs, copies, xcol, trips, cap: int) -> list[R
     offsets = [xcol(k, f, 0) for k, f in trips]
     plus_one = [[(off + a, 1.0) for a in range(len(arcs))] for off in offsets]
     minus_two = [[(off + a, -2.0) for a in range(len(arcs))] for off in offsets]
+    suffixes = [f"{k}_{f}" for k, f in trips]
     rows: list[Row] = []
     n_row = 0
     for size in range(2, len(free_nodes) + 1):
@@ -241,8 +241,8 @@ def _subtour_rows(inst: Instance, arcs, copies, xcol, trips, cap: int) -> list[R
                 for copy_no, pq_arc in enumerate(copies[(p, q)]):
                     cut = bisect.bisect(crossing, pq_arc)
                     prefix = f"subtour_{n_row}_{anchor}_{copy_no}_"
-                    for (k, f), pairs, two in zip(trips, crossed, minus_two):
-                        rows.append(Row(f"{prefix}{k}_{f}", "G", 0.0,
+                    for suffix, pairs, two in zip(suffixes, crossed, minus_two):
+                        rows.append(Row(prefix + suffix, "G", 0.0,
                                         pairs[:cut] + (two[pq_arc],) + pairs[cut:]))
             n_row += 1
     return rows
@@ -281,6 +281,7 @@ def write_lp(model: MilpModel) -> str:
     num = _Memo(_num)
     term = _Memo(lambda c: f"{'+' if c >= 0 else '-'} {num(abs(c))} ")
     names = [c.name for c in model.columns]
+    texts = _Memo(lambda c: [term[c] + name for name in names])  # c's term, by column
     out = [f"\\ {model.name}", "Minimize"]
     obj_terms = [f"{num(c.objective)} {c.name}" for c in model.columns if c.objective != 0.0]
     out.append(" obj: " + " + ".join(obj_terms))
@@ -288,7 +289,7 @@ def write_lp(model: MilpModel) -> str:
     op = {"E": "=", "L": "<=", "G": ">="}
     for row in model.rows:
         if row.coeffs:
-            expr = " ".join([(term[c] if type(c) is float else term.fn(c)) + names[col]
+            expr = " ".join([texts[c][col] if type(c) is float else term.fn(c) + names[col]
                              for col, c in row.coeffs]).lstrip("+ ")
         else:
             expr = "0 " + names[0]

@@ -119,18 +119,15 @@ def test_test_imports_resolve():
 
 
 def benchmark_sample(workloads, tmp_path):
-    """(workload name, operations) of a sample of each seed-0 workload: the
-    first 30 tiny-oracle instances with every milp-export of the 60, the
-    offset-1 baselines-mix instance of each set and the first mt-ladder
-    instance."""
+    """(workload name, operations) of a sample of each seed-0 workload: every
+    operation of all 60 tiny-oracle instances, the offset-1 baselines-mix
+    instance of each set and the first mt-ladder instance."""
     wls = workloads.WORKLOADS
     tiny = workloads.write_instances(workloads.build(wls["tiny-oracle"].plan(0)), tmp_path)
-    head = {name for name, _, _ in tiny[:30]}
     mix = [p for p in wls["baselines-mix"].plan(0) if p[1][2] == 1]
     ladder = wls["mt-ladder"].plan(0)[:1]
     return [
-        ("tiny-oracle", [op for op in wls["tiny-oracle"].ops(tiny)
-                         if op.kind == "milp-export" or op.id.split(":")[1] in head]),
+        ("tiny-oracle", wls["tiny-oracle"].ops(tiny)),
         ("baselines-mix", wls["baselines-mix"].ops(
             workloads.write_instances(workloads.build(mix), tmp_path))),
         ("mt-ladder", wls["mt-ladder"].ops(

@@ -1,5 +1,6 @@
 """Model materialization: counts, writers, encode/check/decode, trip driver."""
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -32,6 +33,7 @@ from mdrpp.milp import (
 from mdrpp.exact import solve_exact
 
 from conftest import (
+    integer_instance,
     reposition_instance,
     tiny_corpus,
     trivial_instance,
@@ -375,6 +377,51 @@ def test_writers_format_each_distinct_value_once(monkeypatch):
         calls.clear()
         writer(model)
         assert calls and max(Counter(calls).values()) == 1, writer.__name__
+
+
+# sha256 (first 16 hex digits) of write_lp + write_mps of every F-trip model
+# over the add_dummy_nodes copies of the integer_instance seeds below 200 that
+# have at most 8 non-depot nodes: subtour rows grow as 2 to the power of that
+# count.  Integer and zero weights reach _num's integer branch and integral
+# float coefficients, which random 3-decimal weights barely do
+PINNED_INTEGER_TEXT = {1: "cb5fefc5dd7c05f6", 2: "7cd3ba2df008b1f9", 3: "2f74442e04c30db3"}
+
+
+def test_writers_are_pinned_on_integer_instances():
+    prepped = [add_dummy_nodes(integer_instance(seed))[0] for seed in range(200)]
+    prepped = [inst for inst in prepped if inst.graph.node_count - len(inst.depots) <= 8]
+    found = {}
+    for num_trips in PINNED_INTEGER_TEXT:
+        text = hashlib.sha256()
+        for inst in prepped:
+            model = build_model(inst, num_trips)
+            text.update((write_lp(model) + write_mps(model)).encode())
+        found[num_trips] = text.hexdigest()[:16]
+    assert found == PINNED_INTEGER_TEXT
+
+
+def test_rows_and_columns_are_immutable_values():
+    row = Row("r", "L", 1.5, ((0, 2.0), (3, -1.0)))
+    column = Column("x_0_0_1_2", 0.0, 1.0, True, 0.0)
+    assert row == Row(name="r", sense="L", rhs=1.5, coeffs=((0, 2.0), (3, -1.0)))
+    assert column == Column(name="x_0_0_1_2", lower=0.0, upper=1.0, integer=True,
+                            objective=0.0)
+    for value, field in ((row, "rhs"), (column, "upper")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 2.0)
+
+
+# the rows check_assignment finds violated in test_check_assignment_names_the_same_violated_rows
+PINNED_VIOLATIONS = ["makespan_0", "flow_0_0_1", "flow_0_0_2", "cover_0", "cover_1"]
+
+
+def test_check_assignment_names_the_same_violated_rows():
+    # the first tiny_corpus instance's mt plan, with its first arc dropped and beta zeroed
+    prepped, _ = add_dummy_nodes(tiny_corpus(1)[0])
+    num_trips, assignment = encode_solution(prepped, solve_multitrip(prepped))
+    del assignment[min(name for name in assignment if name.startswith("x_"))]
+    assignment["beta"] = 0.0
+    assert check_assignment(build_model(prepped, num_trips), assignment) == PINNED_VIOLATIONS
 
 
 def test_encode_satisfies_every_row():
