@@ -194,7 +194,7 @@ def solve_exact(inst: Instance, f_cap: int = 3, time_budget: float = 60.0,
         if time.monotonic() > deadline:
             complete = False
             return
-        # summed left to right, as route_time's `sum` adds before Python 3.12
+        # summed left to right, as route_time adds
         t_here = spent + (len(trips) - 1) * recharge if trips else 0.0
         done.append(trips)
         if k < last:
@@ -284,14 +284,14 @@ def enumerate_exhaustive(inst: Instance, f_cap: int = 3,
 
     The enumeration stops at its best plan so far.  A node's route time so
     far, `spent + (trips - 1) * rt` with `spent` its trip durations added
-    left to right from 0, is the sum `route_time` computes (its `sum` adds
-    left to right before Python 3.12).  A node whose time is already at or
-    above the bound is cut: the bound is the vehicle's least route time so
-    far (over all its edge orders and orientations), and starts at the best
-    makespan of the assignments before, which a vehicle must beat for its
-    assignment to improve on it.  Durations and rt are non-negative and float
-    addition is monotone, so no leaf below a cut node is below the bound, and
-    the least value found is the same float as without cuts.
+    left to right from 0, is the sum `route_time` computes.  A node whose
+    time is already at or above the bound is cut: the bound is the vehicle's
+    least route time so far (over all its edge orders and orientations), and
+    starts at the best makespan of the assignments before, which a vehicle
+    must beat for its assignment to improve on it.  Durations and rt are
+    non-negative and float addition is monotone, so no leaf below a cut node
+    is below the bound, and the least value found is the same float as
+    without cuts.
     """
     if f_cap < 1:
         raise OracleSizeError("f_cap must be positive")

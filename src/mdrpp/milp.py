@@ -281,7 +281,6 @@ def write_lp(model: MilpModel) -> str:
     num = _Memo(_num)
     term = _Memo(lambda c: f"{'+' if c >= 0 else '-'} {num(abs(c))} ")
     names = [c.name for c in model.columns]
-    texts = _Memo(lambda c: [term[c] + name for name in names])  # c's term, by column
     out = [f"\\ {model.name}", "Minimize"]
     obj_terms = [f"{num(c.objective)} {c.name}" for c in model.columns if c.objective != 0.0]
     out.append(" obj: " + " + ".join(obj_terms))
@@ -289,7 +288,7 @@ def write_lp(model: MilpModel) -> str:
     op = {"E": "=", "L": "<=", "G": ">="}
     for row in model.rows:
         if row.coeffs:
-            expr = " ".join([texts[c][col] if type(c) is float else term.fn(c) + names[col]
+            expr = " ".join([(term[c] if type(c) is float else term.fn(c)) + names[col]
                              for col, c in row.coeffs]).lstrip("+ ")
         else:
             expr = "0 " + names[0]

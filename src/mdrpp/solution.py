@@ -36,13 +36,18 @@ class Solution:
 
 
 def route_time(durations, recharge_time: float) -> float:
-    """Total trip time plus one recharge per trip boundary."""
+    """Total trip time, added left to right from 0, plus one recharge per trip
+    boundary.  The order is fixed here, not left to `sum`, which adds floats
+    with compensation from Python 3.12 on."""
     durations = list(durations)
     if any(d < 0 for d in durations):
         raise ValueError("trip durations must be nonnegative")
     if not durations:
         return 0.0
-    return sum(durations) + (len(durations) - 1) * recharge_time
+    total = 0
+    for d in durations:
+        total += d
+    return total + (len(durations) - 1) * recharge_time
 
 
 def worst_route_time(routes, recharge_time: float) -> float:

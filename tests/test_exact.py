@@ -1,5 +1,6 @@
 """Exact solver vs. independent brute-force enumeration, plus invariants."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -396,14 +397,26 @@ def _reference_enumerate_exhaustive(inst, f_cap=3, max_edges_per_trip=None):
     return best
 
 
+def _values_digest(values) -> str:
+    """sha256 (first 16 hex digits) of brute-force values by repr, None as none."""
+    text = " ".join("none" if v is None else repr(v) for v in values)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# _values_digest of _reference_enumerate_exhaustive over tiny_corpus(200) and
+# over its add_dummy_nodes copies (the zero-weight dummy arcs leave every value
+# as it was).  The reference takes about 1.3 s on each, so the values are pinned
+PINNED_BRUTE_FORCE_TINY = {"plain": "afa1181392d28f27", "dummy": "afa1181392d28f27"}
+
+
 @pytest.mark.parametrize("copy", ["plain", "dummy"])
 def test_brute_force_equals_its_reference_bit_for_bit(copy):
     # stopping at the best plan so far must return the very same float
     insts = tiny_corpus(200)
     if copy == "dummy":
         insts = [add_dummy_nodes(inst)[0] for inst in insts]
-    assert ([enumerate_exhaustive(inst) for inst in insts]
-            == [_reference_enumerate_exhaustive(inst) for inst in insts])
+    assert (_values_digest(enumerate_exhaustive(inst) for inst in insts)
+            == PINNED_BRUTE_FORCE_TINY[copy])
 
 
 @pytest.mark.parametrize("option, value", [("f_cap", 1), ("f_cap", 2),

@@ -32,6 +32,11 @@ def test_route_time_known_values():
     assert route_time([1.0, 1.0, 1.0], 2.0) == pytest.approx(7.0)
 
 
+def test_route_time_adds_left_to_right():
+    # ten 0.1s added in order round to just below 1; a compensated sum gives 1.0
+    assert route_time([0.1] * 10, 0.0) == 0.9999999999999999
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=100.0), max_size=6),
        st.floats(min_value=0.0, max_value=50.0))
