@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .graph import Arc, DijkstraRun, DistanceTables, WeightedGraph, path_from_parents
 from .instance import Instance
 from .multitrip import FleetState, initial_fleet_state
-from .solution import EPS, Solution, Trip, covered_by_walk, trip_from_walk
+from .solution import EPS, Solution, Trip, covered_by_walk
 
 CRITERIA = 5
 
@@ -110,14 +110,14 @@ def _pick_leg(cands: _Candidates, run: DijkstraRun, is_open: list[bool], used: f
 def _build_trip(tables: DistanceTables, candidates: _Candidates, inst: Instance, start: int,
                 is_open: list[bool], criterion: int, artificial) -> Trip | None:
     """One capacity-feasible trip from `start` greedily chaining open required
-    edges; `is_open` (one flag per position in `inst.required`) is not changed.
+    edges, or None when no edge fits or the walk closes none of them;
+    `is_open` (one flag per position in `inst.required`) is not changed.
 
     Criterion 0 picks the nearest edge, 1/2 the largest/smallest distance back
     to a depot, 3/4 the smallest/largest capacity used after serving.  Ties go
     to the first candidate, so by (position, orientation).
     """
-    is_open = list(is_open)
-    positions = inst.required_positions
+    was_open, is_open = is_open, list(is_open)
     limit = inst.capacity + EPS
     cur = start
     used = 0.0
@@ -132,9 +132,8 @@ def _build_trip(tables: DistanceTables, candidates: _Candidates, inst: Instance,
             break
         tail, head, serve = best
         # the legs share their end nodes, so together they cover what the walk does
-        for e in covered_by_walk(inst, path_from_parents(run.parents, cur, tail) + (head,)):
-            for pos in positions[e]:
-                is_open[pos] = False
+        for pos in covered_by_walk(inst, path_from_parents(run.parents, cur, tail) + (head,)):
+            is_open[pos] = False
         legs.append((tail, head))
         used += serve
         cur = head
@@ -142,7 +141,12 @@ def _build_trip(tables: DistanceTables, candidates: _Candidates, inst: Instance,
         return None
     # every tail is settled, so the trip advances no run and sums `used`
     walk, duration = tables.trip(start, legs)
-    return trip_from_walk(inst, _splice(walk, artificial), duration)
+    walk = _splice(walk, artificial)
+    # a leg over an artificial arc is spliced back into a real path, which
+    # need not cross the edge it stood for
+    if not any(was_open[pos] for pos in covered_by_walk(inst, walk)):
+        return None
+    return Trip(walk, duration)
 
 
 def _scan_full(tables: DistanceTables, candidates, state: FleetState, criterion: int,
@@ -153,7 +157,6 @@ def _scan_full(tables: DistanceTables, candidates, state: FleetState, criterion:
     """
     inst = state.inst
     budget = 10 * max(1, len(inst.required)) + len(state.vehicles)
-    positions, is_open = inst.required_positions, state.is_open
     steps = 0
     while state.remaining and steps < budget:
         steps += 1
@@ -161,11 +164,9 @@ def _scan_full(tables: DistanceTables, candidates, state: FleetState, criterion:
         if k is None:
             break
         veh = state.vehicles[k]
-        trip = _build_trip(tables, candidates, inst, veh.location, is_open, criterion,
+        trip = _build_trip(tables, candidates, inst, veh.location, state.is_open, criterion,
                            artificial)
-        # a leg over an artificial arc is spliced back into a real path, which
-        # need not cross the edge it stood for
-        if trip is None or not any(is_open[pos] for e in trip.covered for pos in positions[e]):
+        if trip is None:
             veh.infeasible = True
             continue
         state.commit(k, trip)
@@ -295,7 +296,7 @@ def augment_merge(inst: Instance) -> Solution | str:
     for depot, legs, _, _ in sorted(routes, key=lambda r: (-r[2], r[0], r[1])):
         # every leg was read by a successful cost test, so the trip advances
         # no run and sums the route's cost
-        trip = trip_from_walk(inst, *tables.trip(depot, legs, depot))
+        trip = Trip(*tables.trip(depot, legs, depot))
         state.commit(min((state.vehicles[k].available, k) for k in vehicles[depot])[1], trip)
     return state.solution()
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .graph import one_to_all, shortest_path
 from .instance import Instance, RequiredEdge
-from .solution import EPS, Route, Solution, trip_from_walk, worst_route_time
+from .solution import EPS, Route, Solution, Trip, worst_route_time
 
 
 class OracleSizeError(ValueError):
@@ -270,7 +270,7 @@ def _materialize(inst: Instance, plans: list[list[_TripPlan]]) -> Solution:
                 nodes = nodes + leg.nodes[1:] + (head,)
             back = shortest_path(inst.graph, nodes[-1], plan.end_depot)
             nodes = nodes + back.nodes[1:]
-            out.append(trip_from_walk(inst, nodes, plan.duration))
+            out.append(Trip(nodes, plan.duration))
             pos = plan.end_depot
         routes.append(Route(k, tuple(out)))
     return Solution(tuple(routes), worst_route_time(routes, inst.recharge_time), ())

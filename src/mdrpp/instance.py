@@ -80,22 +80,14 @@ class Instance:
         return self.start_depots[k]
 
     @functools.cached_property
-    def served_by_arc(self) -> dict[tuple[int, int], list[RequiredEdge]]:
-        """Required edges that traversing each (tail, head) arc serves."""
-        served: dict[tuple[int, int], list[RequiredEdge]] = {}
-        for e in self.required:
-            for arc in e.orientations():
-                served.setdefault(arc, []).append(e)
-        return served
-
-    @functools.cached_property
-    def required_positions(self) -> dict[RequiredEdge, tuple[int, ...]]:
-        """Positions in `required` of each required edge; equal copies share
-        one entry."""
-        positions: dict[RequiredEdge, tuple[int, ...]] = {}
+    def served_by_arc(self) -> dict[tuple[int, int], list[int]]:
+        """Positions in `required` of the edges that traversing each (tail,
+        head) arc serves; equal copies of an edge are served together."""
+        served: dict[tuple[int, int], list[int]] = {}
         for pos, e in enumerate(self.required):
-            positions[e] = positions.get(e, ()) + (pos,)
-        return positions
+            for arc in e.orientations():
+                served.setdefault(arc, []).append(pos)
+        return served
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .instance import Instance, add_dummy_nodes
-from .solution import (
-    Route,
-    Solution,
-    Trip,
-    route_time,
-    trip_from_walk,
-    worst_route_time,
-)
+from .solution import Route, Solution, Trip, route_time, worst_route_time
 
 INT_TOL = 1e-6
 
@@ -457,7 +450,7 @@ def decode_solution(inst: Instance, num_trips: int, assignment: dict[str, float]
                 raise DecodeError(
                     f"vehicle {k} trip {f}: arcs do not form a depot-to-depot walk")
             duration = sum(arcs[a][2] for a in chosen)
-            trips.append(trip_from_walk(inst, walk, duration))
+            trips.append(Trip(walk, duration))
             pos = end[0]
         routes.append(Route(k, tuple(trips)))
     makespan = worst_route_time(routes, inst.recharge_time)

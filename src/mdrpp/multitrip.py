@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 from .graph import DistanceTables
 from .instance import Instance, RequiredEdge
-from .solution import EPS, Route, Solution, Trip, trip_from_walk, worst_route_time
+from .solution import EPS, Route, Solution, Trip, covered_by_walk, worst_route_time
 
 
 # relative bound on how far a reverse-run distance and the forward one can
@@ -164,7 +164,7 @@ class FleetState:
         return None
 
     def commit(self, k: int, trip: Trip) -> None:
-        """Append trip to vehicle k's route and credit the edges it covers."""
+        """Append trip to vehicle k's route and credit the edges its walk covers."""
         veh = self.vehicles[k]
         # two additions, not one: the rounding decides availability ties
         if veh.trips:
@@ -173,12 +173,11 @@ class FleetState:
         veh.location = trip.nodes[-1]
         veh.trips.append(trip)
         heapq.heappush(self._queue, (veh.available, k))
-        positions, is_open = self.inst.required_positions, self.is_open
-        for e in trip.covered:
-            for pos in positions[e]:
-                if is_open[pos]:
-                    is_open[pos] = False
-                    self.remaining -= 1
+        is_open = self.is_open
+        for pos in covered_by_walk(self.inst, trip.nodes):
+            if is_open[pos]:
+                is_open[pos] = False
+                self.remaining -= 1
 
     def solution(self) -> Solution:
         routes = tuple(Route(k, tuple(v.trips)) for k, v in enumerate(self.vehicles))
@@ -220,8 +219,7 @@ def closest_feasible_edge(state: FleetState, k: int, queues: TripQueues
     _, pos, _, tail, head = top
     # the run from location has settled tail, and the trip sums its duration
     # as the queue did
-    return state.inst.required[pos], trip_from_walk(
-        state.inst, *queues.tables.trip(location, [(tail, head)]))
+    return state.inst.required[pos], Trip(*queues.tables.trip(location, [(tail, head)]))
 
 
 def closest_feasible_depot(state: FleetState, k: int, target: RequiredEdge,
@@ -260,7 +258,7 @@ def closest_feasible_depot(state: FleetState, k: int, target: RequiredEdge,
     if best is None:
         return None
     depot = best[1]
-    return depot, trip_from_walk(inst, *tables.trip(veh.location, (), depot))
+    return depot, Trip(*tables.trip(veh.location, (), depot))
 
 
 def solve_multitrip(inst: Instance) -> Solution:

@@ -15,7 +15,6 @@ DURATION_TOL = 1e-6
 class Trip:
     nodes: tuple[int, ...]
     duration: float
-    covered: tuple[RequiredEdge, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,9 @@ def walk_cost(inst: Instance, nodes) -> float | None:
     return total
 
 
-def covered_by_walk(inst: Instance, nodes) -> set[RequiredEdge]:
-    """Required edges traversed by a walk (direction-sensitive when directed)."""
+def covered_by_walk(inst: Instance, nodes) -> set[int]:
+    """Positions in `inst.required` of the edges a walk traverses
+    (direction-sensitive when directed)."""
     served = inst.served_by_arc
     out = set()
     for pair in set(zip(nodes, nodes[1:])):
@@ -91,17 +91,11 @@ def covered_by_walk(inst: Instance, nodes) -> set[RequiredEdge]:
     return out
 
 
-def trip_from_walk(inst: Instance, nodes, duration: float) -> Trip:
-    """Trip along a walk, credited with every required edge the walk traverses."""
-    return Trip(nodes=nodes, duration=duration,
-                covered=tuple(sorted(covered_by_walk(inst, nodes))))
-
-
 def check_feasibility(inst: Instance, sol: Solution) -> list[str]:
     """Constraint audit; an empty report means feasible and complete."""
     findings: list[str] = []
     depot_set = set(inst.depots)
-    covered: set[RequiredEdge] = set()
+    covered: set[int] = set()
     seen: set[int] = set()
     durations_ok = True
     for route in sol.routes:
@@ -145,8 +139,8 @@ def check_feasibility(inst: Instance, sol: Solution) -> list[str]:
                 findings.append(
                     f"{tag}: duration {trip.duration} exceeds capacity {inst.capacity}")
             covered |= covered_by_walk(inst, trip.nodes)
-    for e in inst.required:
-        if e not in covered:
+    for pos, e in enumerate(inst.required):
+        if pos not in covered:
             findings.append(f"required edge ({e.frm},{e.to}) not covered")
     # route_time raises on a negative duration, so only sound routes are summed
     if durations_ok:

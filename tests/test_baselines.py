@@ -18,7 +18,7 @@ from mdrpp import (
 from mdrpp import baselines
 from mdrpp.graph import Arc, DistanceTables, WeightedGraph, one_to_all, path_from_parents
 from mdrpp.multitrip import initial_fleet_state
-from mdrpp.solution import EPS, Trip, covered_by_walk, trip_from_walk
+from mdrpp.solution import EPS, Trip, covered_by_walk
 
 from conftest import (
     digest,
@@ -467,9 +467,11 @@ def test_baselines_output_is_pinned_on_grids(side):
 def _reference_trip(graph, to_depot, inst, start, uncovered, criterion, artificial, seen):
     """Brute-force trip builder: complete Dijkstra rows, the reference
     to-depot table, coverage of the whole walk so far and a filtered list of
-    uncovered edges.  Counts in `seen` the steps whose best key is shared by
-    another candidate, and those whose leg and return fill the capacity
-    exactly."""
+    uncovered edges; None when the spliced walk covers none of the edges
+    uncovered at the start.  Counts in `seen` the steps whose best key is
+    shared by another candidate, and those whose leg and return fill the
+    capacity exactly."""
+    was_open = set(uncovered)
     to_depot_cost, to_depot_succ = to_depot
     cur = start
     used = 0.0
@@ -498,7 +500,7 @@ def _reference_trip(graph, to_depot, inst, start, uncovered, criterion, artifici
         walk = walk + path_from_parents(parents, cur, tail)[1:] + (head,)
         used += serve
         cur = head
-        touched = covered_by_walk(inst, walk)
+        touched = {inst.required[pos] for pos in covered_by_walk(inst, walk)}
         uncovered = [e for e in uncovered if e not in touched]
     if cur == start and len(walk) == 1:
         return None
@@ -506,8 +508,9 @@ def _reference_trip(graph, to_depot, inst, start, uncovered, criterion, artifici
         walk = walk + (to_depot_succ[walk[-1]],)
     duration = used + to_depot_cost[cur]
     real = baselines._splice(walk, artificial)
-    return Trip(nodes=real, duration=duration,
-                covered=tuple(sorted(covered_by_walk(inst, real))))
+    if not any(inst.required[pos] in was_open for pos in covered_by_walk(inst, real)):
+        return None
+    return Trip(nodes=real, duration=duration)
 
 
 def test_build_trip_matches_brute_force_reference(monkeypatch):
@@ -606,7 +609,7 @@ def _reference_augment_merge(inst, seen):
         walk = walk + path_from_parents(row(walk[-1])[1], walk[-1], depot)[1:]
         k = min((state.vehicles[k].available, k) for k in range(inst.vehicles)
                 if inst.start_depot(k) == depot)[1]
-        state.commit(k, trip_from_walk(inst, walk, cost))
+        state.commit(k, Trip(walk, cost))
     return state.solution()
 
 
@@ -697,4 +700,16 @@ def test_build_trip_keeps_a_trip_at_the_limit_up_to_rounding():
     trip = baselines._build_trip(tables, baselines._candidates(tables, inst), inst, 0,
                                  [True, True], 0, {})
     assert trip.nodes == (0, 1, 2, 3, 4)
-    assert trip.covered == tuple(sorted(inst.required))
+    assert covered_by_walk(inst, trip.nodes) == {0, 1}
+
+
+def test_build_trip_refuses_a_spliced_walk_that_closes_no_open_edge():
+    # the artificial arc (0, 1) stands for the path 0-2-1, which does not
+    # cross the directed required edge (0, 1) that its leg was picked for
+    g = WeightedGraph(3, [(0, 1, 5.0), (1, 0, 1.0), (0, 2, 1.0), (2, 1, 1.0)])
+    inst = Instance(graph=g, depots=(0,), required=(RequiredEdge(0, 1, directed=True),),
+                    vehicles=1, capacity=20.0, recharge_time=0.0, start_depots=(0,))
+    tables = DistanceTables(WeightedGraph(3, [(0, 1, 2.0), (1, 0, 1.0)]), inst.start_depots)
+    args = (tables, baselines._candidates(tables, inst), inst, 0, [True], 0)
+    assert baselines._build_trip(*args, {}).nodes == (0, 1, 0)
+    assert baselines._build_trip(*args, {(0, 1): (0, 2, 1)}) is None

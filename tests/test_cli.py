@@ -149,7 +149,7 @@ def test_solve_unsolved_writes_reason_and_exits_zero(tmp_path, capsys):
 def test_solve_checks_the_plan_before_reporting_it(tmp_path, capsys, monkeypatch):
     # a plan whose one trip runs over the capacity is an error, not a makespan
     inst = trivial_instance()
-    over = Trip(nodes=(0, 1, 2, 3, 0, 1, 0), duration=6.0, covered=(RequiredEdge(0, 1),))
+    over = Trip(nodes=(0, 1, 2, 3, 0, 1, 0), duration=6.0)
     monkeypatch.setattr(cli, "solve_multitrip",
                         lambda inst: Solution((Route(0, (over,)),), 6.0))
     inst_path = write_instance(tmp_path, inst)

@@ -97,7 +97,7 @@ def test_parallel_copies_of_a_required_edge():
     from mdrpp import Route, Solution, Trip
 
     walk = (0, 1, 2, 3, 0)
-    sol = Solution((Route(0, (Trip(walk, 4.5, (RequiredEdge(1, 2),)),)), Route(1, ())),
+    sol = Solution((Route(0, (Trip(walk, 4.5),)), Route(1, ())),
                    4.5, ())
     num_trips, assignment = encode_solution(inst, sol)
     assert assignment["x_0_0_1_2"] == 1.0 and "x_0_0_1_2_p1" not in assignment
@@ -443,7 +443,7 @@ def test_encode_rejects_repeated_arc_in_trip():
 
     walk = (0, 1, 2, 1, 2, 1, 0)  # arc (1,2) twice in one trip
     bad = Solution(
-        (Route(0, (Trip(walk, 6.0, (RequiredEdge(1, 2),)),)),), 6.0, ())
+        (Route(0, (Trip(walk, 6.0),)),), 6.0, ())
     with pytest.raises(ValueError):
         encode_solution(inst, bad)
 
@@ -456,7 +456,7 @@ def test_encode_splits_trips_at_intermediate_depots():
     from mdrpp import Route, Solution, Trip
 
     walk = (0, 1, 2, 3, 0)
-    sol = Solution((Route(0, (Trip(walk, 4.0, (RequiredEdge(1, 2),)),)),), 4.0, ())
+    sol = Solution((Route(0, (Trip(walk, 4.0),)),), 4.0, ())
     num_trips, assignment = encode_solution(inst, sol)
     assert num_trips == 2
     assert assignment["z_0_0"] == 1.0 and assignment["z_0_1"] == 1.0

@@ -20,7 +20,7 @@ from mdrpp.multitrip import (
     closest_feasible_edge,
     initial_fleet_state,
 )
-from mdrpp.solution import EPS, Trip, walk_cost
+from mdrpp.solution import EPS, Trip, covered_by_walk, walk_cost
 
 from conftest import (
     digest,
@@ -44,7 +44,7 @@ def test_reposition_fixture_exact_trace():
     # repositioning trip to the closer depot, then the covering trip
     assert trips[0].nodes == (0, 1, 5)
     assert trips[0].duration == pytest.approx(3.8)
-    assert trips[0].covered == ()
+    assert covered_by_walk(inst, trips[0].nodes) == set()
     assert trips[1].nodes == (5, 1, 3, 5)
     assert trips[1].duration == pytest.approx(6.7)
     assert check_feasibility(inst, sol) == []
@@ -185,7 +185,7 @@ def test_closest_feasible_edge_matches_enumeration_mid_solve():
             assert trip.nodes[0] == location
             assert trip.nodes[-1] in inst.depots
             assert walk_cost(inst, trip.nodes) == pytest.approx(trip.duration)
-            assert edge in trip.covered
+            assert edge in (inst.required[pos] for pos in covered_by_walk(inst, trip.nodes))
             state.commit(k, trip)
             checked += 1
     assert checked >= 100
@@ -302,21 +302,23 @@ def test_equal_required_edges_close_together_and_stay_listed():
     # (2, 3) lies on an island that no vehicle can reach
     g = WeightedGraph(4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0)])
     dup, island = RequiredEdge(0, 1), RequiredEdge(2, 3)
-    inst = Instance(graph=g, depots=(0,), required=(dup, island, dup),
-                    vehicles=1, capacity=10.0, recharge_time=1.0, start_depots=(0,))
-    state = initial_fleet_state(inst)
-    assert state.uncovered == [dup, island, dup]
-    trial = state.copy()
-    edge, trip = closest_feasible_edge(trial, 0, TripQueues(inst, tables_for(inst),
-                                                            trial.is_open))
-    assert edge == dup
-    trial.commit(0, trip)
-    assert trial.uncovered == [island]
-    assert trial.remaining == 1
-    # the copy's commit leaves the original untouched
-    assert state.uncovered == [dup, island, dup]
-    assert state.remaining == 3
-    assert state.vehicles[0].trips == []
+    # an equal copy, and the same undirected edge listed the other way round
+    for copy in (dup, RequiredEdge(1, 0)):
+        inst = Instance(graph=g, depots=(0,), required=(dup, island, copy),
+                        vehicles=1, capacity=10.0, recharge_time=1.0, start_depots=(0,))
+        state = initial_fleet_state(inst)
+        assert state.uncovered == [dup, island, copy]
+        trial = state.copy()
+        edge, trip = closest_feasible_edge(trial, 0, TripQueues(inst, tables_for(inst),
+                                                                trial.is_open))
+        assert edge == dup
+        trial.commit(0, trip)
+        assert trial.uncovered == [island]
+        assert trial.remaining == 1
+        # the copy's commit leaves the original untouched
+        assert state.uncovered == [dup, island, copy]
+        assert state.remaining == 3
+        assert state.vehicles[0].trips == []
 
     inst = Instance(graph=g, depots=(0,), required=(island, dup, island),
                     vehicles=1, capacity=10.0, recharge_time=1.0, start_depots=(0,))

@@ -11,18 +11,30 @@ from mdrpp import (
     Route,
     Solution,
     Trip,
+    augment_merge,
     check_feasibility,
+    construct_strike,
     evaluate_solution,
     gap,
     parse_solution,
+    path_scanning,
     route_time,
+    solve_exact,
+    solve_multitrip,
     walk_cost,
     write_solution,
     write_unsolved,
 )
 from mdrpp.solution import covered_by_walk
 
-from conftest import trivial_instance, two_vehicle_instance, undirected_graph
+from conftest import (
+    integer_instance,
+    scaled_instance,
+    tiny_corpus,
+    trivial_instance,
+    two_vehicle_instance,
+    undirected_graph,
+)
 
 
 def test_route_time_known_values():
@@ -60,11 +72,10 @@ def make_solution(inst, walks_per_vehicle):
         trips = []
         for walk in walks:
             cost = walk_cost(inst, walk)
-            trips.append(Trip(nodes=tuple(walk), duration=cost,
-                              covered=tuple(sorted(covered_by_walk(inst, walk)))))
+            trips.append(Trip(nodes=tuple(walk), duration=cost))
         routes.append(Route(k, tuple(trips)))
-    covered = {e for r in routes for t in r.trips for e in t.covered}
-    uncovered = tuple(e for e in inst.required if e not in covered)
+    covered = {pos for r in routes for t in r.trips for pos in covered_by_walk(inst, t.nodes)}
+    uncovered = tuple(e for pos, e in enumerate(inst.required) if pos not in covered)
     makespan = max(
         (route_time([t.duration for t in r.trips], inst.recharge_time) for r in routes),
         default=0.0)
@@ -82,7 +93,7 @@ def test_walk_cost_and_coverage():
     inst = trivial_instance()
     assert walk_cost(inst, (0, 1, 0)) == pytest.approx(2.0)
     assert walk_cost(inst, (0, 2)) is None  # not an arc
-    assert covered_by_walk(inst, (0, 1, 0)) == {RequiredEdge(0, 1)}
+    assert covered_by_walk(inst, (0, 1, 0)) == {0}
     assert covered_by_walk(inst, (0, 3, 2)) == set()
 
 
@@ -91,7 +102,7 @@ def test_directed_coverage_requires_stated_direction():
     inst = Instance(graph=g, depots=(0, 2), required=(RequiredEdge(1, 2, directed=True),),
                     vehicles=1, capacity=9.0, recharge_time=0.0, start_depots=(0,))
     assert covered_by_walk(inst, (0, 2, 1, 0)) == set()        # traversed 2->1
-    assert covered_by_walk(inst, (0, 1, 2)) == {inst.required[0]}
+    assert covered_by_walk(inst, (0, 1, 2)) == {0}
 
 
 def test_check_feasibility_clean_solution():
@@ -121,7 +132,7 @@ def test_check_feasibility_findings():
     r0 = clean.routes[0]
     t0 = r0.trips[0]
     tampered = Solution(
-        (Route(0, (Trip(t0.nodes, t0.duration + 1.0, t0.covered),) + r0.trips[1:]),
+        (Route(0, (Trip(t0.nodes, t0.duration + 1.0),) + r0.trips[1:]),
          clean.routes[1]),
         clean.makespan, ())
     assert any("duration" in f for f in check_feasibility(inst, tampered))
@@ -175,6 +186,28 @@ def test_solution_file_round_trip():
     assert sol.uncovered == (RequiredEdge(2, 1, directed=True),)
     again = parse_solution(write_solution(directed, sol))
     assert again.uncovered == sol.uncovered
+
+
+def test_solver_plans_round_trip_through_a_solution_file():
+    # a trip is its walk and its duration, so the file holds all of a plan
+    from test_exact import PINNED_INTEGER
+
+    finished = [int(pair.split(":")[0]) for pair in PINNED_INTEGER.split()]
+    tiny, integer = tiny_corpus(60), [integer_instance(seed) for seed in range(60)]
+    plans = []
+    for inst in [*tiny, *integer, *(scaled_instance(230, 440, seed, kind)
+                                     for kind in "ABC" for seed in (1, 2, 3, 4))]:
+        plans += [(inst, solver(inst)) for solver in (solve_multitrip, path_scanning,
+                                                      augment_merge, construct_strike)]
+    # the integer seeds the oracle finishes within 2 s
+    for inst in [*tiny, *(integer[seed] for seed in finished if seed < 60)]:
+        out = solve_exact(inst)
+        if out is not None:
+            plans.append((inst, out[0]))
+    plans = [(inst, sol) for inst, sol in plans if isinstance(sol, Solution)]
+    assert len(plans) == 443
+    assert [sol for _, sol in plans] == [parse_solution(write_solution(inst, sol))
+                                         for inst, sol in plans]
 
 
 def test_unsolved_file_round_trip():
